@@ -11,7 +11,7 @@ namespace ppc {
 /// A per-request bump allocator for the serving fast path.
 ///
 /// The batched predict path needs a handful of scratch arrays (transformed
-/// coordinates, per-transform counts, histogram probe tables) whose sizes
+/// coordinates, per-transform counts, cost workspaces) whose sizes
 /// depend on the batch; allocating them from the heap on every request is
 /// measurable at the target request rates. An Arena hands out raw storage
 /// by bumping an offset into a block, and Reset() recycles everything at

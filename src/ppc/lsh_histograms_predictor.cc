@@ -59,7 +59,7 @@ uint64_t EnsembleSeed(const LshHistogramsPredictor::Config& config) {
 /// Clamps [position - delta, position + delta] to the histogram domain
 /// [0, 1], sliding the interval inward first so a query at the plan-space
 /// boundary still covers its full 2*delta of curve length. Shared by the
-/// scalar and batched range builders so the two cannot drift apart.
+/// reference and batched range builders so the two cannot drift apart.
 ZInterval SlideClampInterval(double position, double delta) {
   double lo = position - delta;
   double hi = position + delta;
@@ -210,12 +210,15 @@ LshHistogramsPredictor::QueryRangesBatch(const double* points,
 
 Prediction LshHistogramsPredictor::Predict(
     const std::vector<double>& x) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return PredictLocked(x);
+  PPC_DCHECK(static_cast<int>(x.size()) == config_.dimensions);
+  Prediction out;
+  PredictBatchInto(x.data(), 1, &out);
+  return out;
 }
 
-Prediction LshHistogramsPredictor::PredictLocked(
+Prediction LshHistogramsPredictor::PredictReference(
     const std::vector<double>& x) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
   if (synopses_.empty()) return Prediction{};
   const std::vector<std::vector<ZInterval>> ranges = QueryRanges(x);
 
@@ -336,7 +339,7 @@ void LshHistogramsPredictor::PredictBatchInto(const double* points,
           : 0.0;
 
   // Running per-point argmax state, updated plan by plan in the same
-  // std::map order as the scalar path (ties must resolve identically).
+  // std::map order as PredictReference (ties must resolve identically).
   double* totals = arena.Array<double>(count);
   double* max_counts = arena.Array<double>(count);
   PlanId* max_plans = arena.Array<PlanId>(count);
@@ -345,12 +348,10 @@ void LshHistogramsPredictor::PredictBatchInto(const double* points,
   std::fill(max_plans, max_plans + count, kNullPlanId);
   double* per_transform = arena.Array<double>(t * count);
   double* median_scratch = arena.Array<double>(t);
-  double* probe_scratch = arena.Array<double>(4 * config_.histogram_buckets);
   for (const auto& [plan, synopsis] : synopses_) {
     // All of this plan's histograms are walked batch-at-a-time: probe
-    // tables and bucket arrays stay cache-hot across the count points of
-    // each transform.
-    synopsis.BatchTransformCounts(ranges, per_transform, probe_scratch);
+    // tables stay cache-hot across the count points of each transform.
+    synopsis.BatchTransformCounts(ranges, per_transform);
     for (size_t p = 0; p < count; ++p) {
       // Assemble the per-transform counts in transform order — the same
       // sequence the scalar MedianCount builds — and take the median.
@@ -383,13 +384,9 @@ void LshHistogramsPredictor::PredictBatchInto(const double* points,
   }
 
   // Cost estimation runs only for the winning plan of a confident point,
-  // exactly as in the scalar path — but grouped by plan so each winning
-  // synopsis exports its count+cost probe tables once per batch instead
-  // of recomputing bucket extents per (point, bucket, estimate), and (in
+  // exactly as in PredictReference — but grouped by plan so (in
   // single-range mode) the grouped points run through one across-queries
   // kernel call per transform.
-  const size_t stride = config_.histogram_buckets;
-  double* cost_probes = arena.Array<double>(5 * t * stride);
   uint32_t* group_idx = arena.Array<uint32_t>(count);
   double* bounds_ws = arena.Array<double>(2 * count);
   double* counts_ws = arena.Array<double>(t * count);
@@ -403,20 +400,18 @@ void LshHistogramsPredictor::PredictBatchInto(const double* points,
       }
     }
     if (group == 0) continue;
-    synopsis.ExportCostProbes(stride, cost_probes);
     if (ranges.offsets == nullptr) {
-      synopsis.BatchAverageCostsFromProbes(ranges, group_idx, group, stride,
-                                           cost_probes, bounds_ws, counts_ws,
-                                           costs_ws, median_scratch,
-                                           group_costs);
+      synopsis.BatchAverageCostsFromProbes(ranges, group_idx, group,
+                                           bounds_ws, counts_ws, costs_ws,
+                                           median_scratch, group_costs);
       for (size_t k = 0; k < group; ++k) {
         out[group_idx[k]].estimated_cost = group_costs[k];
       }
     } else {
       for (size_t k = 0; k < group; ++k) {
         out[group_idx[k]].estimated_cost =
-            synopsis.MedianAverageCostFromProbes(ranges, group_idx[k], stride,
-                                                 cost_probes, median_scratch);
+            synopsis.MedianAverageCostFromProbes(ranges, group_idx[k],
+                                                 median_scratch);
       }
     }
   }

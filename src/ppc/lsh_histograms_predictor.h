@@ -90,13 +90,24 @@ class LshHistogramsPredictor : public PlanPredictor {
   LshHistogramsPredictor& operator=(const LshHistogramsPredictor& other);
   LshHistogramsPredictor& operator=(LshHistogramsPredictor&& other) noexcept;
 
+  /// The one serving predict path: PredictBatchInto at count = 1 (`x`
+  /// must hold config().dimensions coordinates). The online predictor,
+  /// PpcFramework::PredictAtPoint, the server and the router all answer
+  /// through it.
   Prediction Predict(const std::vector<double>& x) const override;
+
+  /// Oracle for tests and diagnostics, not a serving path. Answers `x`
+  /// the straightforward way — QueryRanges, then the nested-vector
+  /// PlanSynopsis::MedianCount / MedianAverageCost over
+  /// StreamingHistogram::EstimateCount — and must agree with Predict /
+  /// PredictBatch bit for bit. Takes the shared lock.
+  Prediction PredictReference(const std::vector<double>& x) const;
 
   /// Batched Predict over `count` points stored contiguously row-major
   /// (point p occupies points[p*r .. (p+1)*r) with r = config().dimensions).
   /// Returns one Prediction per point, in order, bit-identical to calling
-  /// Predict on each point separately. The batch pays the shared lock
-  /// once, applies each randomized transform as one matrix-times-batch
+  /// PredictReference on each point separately. The batch pays the shared
+  /// lock once, applies each randomized transform as one matrix-times-batch
   /// kernel, and walks each plan histogram's buckets once per batch
   /// instead of once per point (range queries grouped per intermediate
   /// space).
@@ -169,7 +180,7 @@ class LshHistogramsPredictor : public PlanPredictor {
   /// Curve intervals to query for `x`, one list per transform (a single
   /// interval in the paper's mode, a decomposition in extension mode).
   /// All intervals lie within the histogram domain [0, 1]. Public for
-  /// tests and diagnostics.
+  /// tests and diagnostics; PredictReference and EstimateCost build on it.
   std::vector<std::vector<ZInterval>> QueryRanges(
       const std::vector<double>& x) const;
 
@@ -181,8 +192,6 @@ class LshHistogramsPredictor : public PlanPredictor {
       const double* points, size_t count) const;
 
  private:
-  Prediction PredictLocked(const std::vector<double>& x) const;
-
   /// Parses the checksum-verified config and data section payloads. Kept
   /// separate from Restore so envelope validation (magic, version,
   /// section lengths, checksum) and content validation cannot interleave.

@@ -83,40 +83,15 @@ double PlanSynopsis::MedianAverageCost(
   return costs.empty() ? 0.0 : Median(std::move(costs));
 }
 
-void PlanSynopsis::BatchTransformCounts(
-    const std::vector<std::vector<std::vector<ZInterval>>>&
-        ranges_by_transform,
-    size_t point_count, double* counts_out) const {
-  PPC_DCHECK(ranges_by_transform.size() == histograms_.size());
-  for (size_t i = 0; i < histograms_.size(); ++i) {
-    const StreamingHistogram& histogram = histograms_[i];
-    PPC_DCHECK(ranges_by_transform[i].size() == point_count);
-    double* row = counts_out + i * point_count;
-    for (size_t p = 0; p < point_count; ++p) {
-      double count = 0.0;
-      for (const ZInterval& interval : ranges_by_transform[i][p]) {
-        count += histogram.EstimateCount(interval.lo, interval.hi);
-      }
-      row[p] = count;
-    }
-  }
-}
-
 void PlanSynopsis::BatchTransformCounts(const FlatQueryRanges& ranges,
-                                        double* counts_out,
-                                        double* probe_scratch) const {
+                                        double* counts_out) const {
   PPC_DCHECK(ranges.transform_count == histograms_.size());
   for (size_t i = 0; i < histograms_.size(); ++i) {
-    const StreamingHistogram& histogram = histograms_[i];
-    // One probe export per (histogram, batch): the extent math that the
-    // scalar EstimateCount redoes for every (point, bucket) pair is paid
-    // once here, then the kernel streams the flat arrays.
-    const size_t b = histogram.bucket_count();
-    double* left = probe_scratch;
-    double* right = probe_scratch + b;
-    double* count = probe_scratch + 2 * b;
-    double* centroid = probe_scratch + 3 * b;
-    histogram.ExportProbe(left, right, count, centroid);
+    // The histogram keeps its probe table current on Insert, so the
+    // extent math that EstimateCount redoes for every (range, bucket)
+    // pair is never paid on the read path; the kernel streams the flat
+    // arrays.
+    const StreamingHistogram::Probe probe = histograms_[i].probe();
     double* row = counts_out + i * ranges.point_count;
     if (ranges.offsets == nullptr) {
       // Single-range mode: transform i's intervals are one contiguous
@@ -125,7 +100,7 @@ void PlanSynopsis::BatchTransformCounts(const FlatQueryRanges& ranges,
       // with each lane running the scalar accumulation sequence.
       static_assert(sizeof(ZInterval) == 2 * sizeof(double));
       simd::HistogramRangeCountMany(
-          left, right, count, centroid, b,
+          probe.left, probe.right, probe.count, probe.centroid, probe.size,
           reinterpret_cast<const double*>(ranges.intervals +
                                           i * ranges.point_count),
           ranges.point_count, row);
@@ -135,62 +110,30 @@ void PlanSynopsis::BatchTransformCounts(const FlatQueryRanges& ranges,
       double total = 0.0;
       const auto [begin, end] = ranges.Slice(i, p);
       for (const ZInterval* interval = begin; interval != end; ++interval) {
-        total += simd::HistogramRangeCount(left, right, count, centroid, b,
-                                           interval->lo, interval->hi);
+        total += simd::HistogramRangeCount(probe.left, probe.right,
+                                           probe.count, probe.centroid,
+                                           probe.size, interval->lo,
+                                           interval->hi);
       }
       row[p] = total;
     }
   }
 }
 
-double PlanSynopsis::MedianAverageCost(const FlatQueryRanges& ranges,
-                                       size_t point, double* scratch) const {
-  PPC_DCHECK(ranges.transform_count == histograms_.size());
-  size_t n = 0;
-  for (size_t i = 0; i < histograms_.size(); ++i) {
-    double count = 0.0;
-    double cost_sum = 0.0;
-    const auto [begin, end] = ranges.Slice(i, point);
-    for (const ZInterval* interval = begin; interval != end; ++interval) {
-      const double c =
-          histograms_[i].EstimateCount(interval->lo, interval->hi);
-      if (c <= 0.0) continue;
-      count += c;
-      cost_sum +=
-          c * histograms_[i].EstimateAverageCost(interval->lo, interval->hi);
-    }
-    if (count > 0.0) scratch[n++] = cost_sum / count;
-  }
-  return n == 0 ? 0.0 : MedianInPlace(scratch, n);
-}
-
-void PlanSynopsis::ExportCostProbes(size_t stride, double* probes) const {
-  for (size_t i = 0; i < histograms_.size(); ++i) {
-    const StreamingHistogram& histogram = histograms_[i];
-    PPC_DCHECK(histogram.bucket_count() <= stride);
-    double* base = probes + i * 5 * stride;
-    histogram.ExportProbe(base, base + stride, base + 2 * stride,
-                          base + 4 * stride);
-    histogram.ExportProbeCosts(base + 3 * stride);
-  }
-}
-
 double PlanSynopsis::MedianAverageCostFromProbes(const FlatQueryRanges& ranges,
-                                                 size_t point, size_t stride,
-                                                 const double* probes,
+                                                 size_t point,
                                                  double* scratch) const {
   PPC_DCHECK(ranges.transform_count == histograms_.size());
   size_t n = 0;
   for (size_t i = 0; i < histograms_.size(); ++i) {
-    const size_t b = histograms_[i].bucket_count();
-    const double* base = probes + i * 5 * stride;
+    const StreamingHistogram::Probe probe = histograms_[i].probe();
     double count = 0.0;
     double cost_sum = 0.0;
     const auto [begin, end] = ranges.Slice(i, point);
     for (const ZInterval* interval = begin; interval != end; ++interval) {
       double c, cost;
-      simd::HistogramRangeCountCost(base, base + stride, base + 2 * stride,
-                                    base + 3 * stride, base + 4 * stride, b,
+      simd::HistogramRangeCountCost(probe.left, probe.right, probe.count,
+                                    probe.cost, probe.centroid, probe.size,
                                     interval->lo, interval->hi, &c, &cost);
       if (c <= 0.0) continue;
       count += c;
@@ -207,9 +150,8 @@ double PlanSynopsis::MedianAverageCostFromProbes(const FlatQueryRanges& ranges,
 
 void PlanSynopsis::BatchAverageCostsFromProbes(
     const FlatQueryRanges& ranges, const uint32_t* point_idx, size_t n,
-    size_t stride, const double* probes, double* bounds_ws,
-    double* counts_ws, double* costs_ws, double* median_ws,
-    double* out) const {
+    double* bounds_ws, double* counts_ws, double* costs_ws,
+    double* median_ws, double* out) const {
   PPC_DCHECK(ranges.offsets == nullptr);
   PPC_DCHECK(ranges.transform_count == histograms_.size());
   const size_t t = histograms_.size();
@@ -222,11 +164,10 @@ void PlanSynopsis::BatchAverageCostsFromProbes(
       bounds_ws[2 * k] = interval.lo;
       bounds_ws[2 * k + 1] = interval.hi;
     }
-    const double* base = probes + i * 5 * stride;
+    const StreamingHistogram::Probe probe = histograms_[i].probe();
     simd::HistogramRangeCountCostMany(
-        base, base + stride, base + 2 * stride, base + 3 * stride,
-        base + 4 * stride, histograms_[i].bucket_count(), bounds_ws, n,
-        counts_ws + i * n, costs_ws + i * n);
+        probe.left, probe.right, probe.count, probe.cost, probe.centroid,
+        probe.size, bounds_ws, n, counts_ws + i * n, costs_ws + i * n);
   }
   for (size_t k = 0; k < n; ++k) {
     // Same per-transform accumulation as MedianAverageCostFromProbes,

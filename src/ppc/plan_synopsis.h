@@ -67,32 +67,15 @@ class PlanSynopsis {
   double MedianAverageCost(
       const std::vector<std::vector<ZInterval>>& ranges) const;
 
-  /// MedianAverageCost of one point's slots in a flat batch view, writing
-  /// the per-transform costs into `scratch` (>= transform_count doubles)
-  /// instead of allocating. Bit-identical to the vector overload.
-  double MedianAverageCost(const FlatQueryRanges& ranges, size_t point,
-                           double* scratch) const;
-
-  /// Exports every transform's probe table for the combined count+cost
-  /// kernel into `probes` (caller-provided, >= transform_count * 5 *
-  /// stride doubles, stride >= every histogram's bucket_count()).
-  /// Transform i's table starts at probes + i * 5 * stride and holds the
-  /// five arrays [left | right | count | cost | centroid], each `stride`
-  /// apart. Pairs with MedianAverageCostFromProbes, which amortizes the
-  /// per-bucket extent math once per (synopsis, batch) instead of once
-  /// per (point, bucket, estimate).
-  void ExportCostProbes(size_t stride, double* probes) const;
-
-  /// MedianAverageCost of one point's slots computed from a table built by
-  /// ExportCostProbes, via the runtime-dispatched
-  /// simd::HistogramRangeCountCost kernel. Bit-identical to the
-  /// MedianAverageCost overloads above (which remain the oracle): per
-  /// interval the kernel's count matches EstimateCount bit for bit and the
-  /// caller reconstructs c * EstimateAverageCost as c * (cost / c).
+  /// MedianAverageCost of one point's slots computed from the histograms'
+  /// probe tables (StreamingHistogram::probe) via the runtime-dispatched
+  /// simd::HistogramRangeCountCost kernel, writing the per-transform costs
+  /// into `scratch` (>= transform_count doubles). Bit-identical to the
+  /// interval-list MedianAverageCost (the oracle): per interval the
+  /// kernel's count matches EstimateCount bit for bit and the caller
+  /// reconstructs c * EstimateAverageCost as c * (cost / c).
   double MedianAverageCostFromProbes(const FlatQueryRanges& ranges,
-                                     size_t point, size_t stride,
-                                     const double* probes,
-                                     double* scratch) const;
+                                     size_t point, double* scratch) const;
 
   /// Batched MedianAverageCostFromProbes over the `n` points
   /// point_idx[0..n) of a single-range batch (ranges.offsets == nullptr;
@@ -104,34 +87,22 @@ class PlanSynopsis {
   /// median_ws >= transform_count doubles.
   void BatchAverageCostsFromProbes(const FlatQueryRanges& ranges,
                                    const uint32_t* point_idx, size_t n,
-                                   size_t stride, const double* probes,
                                    double* bounds_ws, double* counts_ws,
                                    double* costs_ws, double* median_ws,
                                    double* out) const;
 
-  /// Batched per-transform counts for the serving fast path:
-  /// `ranges_by_transform[i][p]` is point p's interval list in transform i
-  /// (transform-major layout), and the summed count of that list lands in
-  /// `counts_out[i * point_count + p]`. Iterates transform-outer /
+  /// Batched per-transform counts for the predict hot path: the summed
+  /// count of slot (transform i, point p)'s intervals lands in
+  /// `counts_out[i * ranges.point_count + p]`. Iterates transform-outer /
   /// point-inner so one histogram's bucket array stays cache-resident
-  /// across the whole batch — this is the "group range queries per
-  /// intermediate space" amortization. Each individual interval sum uses
-  /// the same accumulation order as the scalar MedianCount, so a median
-  /// assembled from `counts_out` is bit-identical to the scalar result.
-  void BatchTransformCounts(
-      const std::vector<std::vector<std::vector<ZInterval>>>&
-          ranges_by_transform,
-      size_t point_count, double* counts_out) const;
-
-  /// Flat, allocation-free variant used by the predict hot path: same
-  /// semantics and bit-identical results (the nested overload above is
-  /// the oracle), but ranges come as a FlatQueryRanges view, each
-  /// histogram's bucket extents are exported once per batch into
-  /// `probe_scratch` (caller-provided, >= 4 * max_buckets doubles, e.g.
-  /// arena-backed), and each interval is counted by the runtime-dispatched
-  /// simd::HistogramRangeCount kernel.
-  void BatchTransformCounts(const FlatQueryRanges& ranges, double* counts_out,
-                            double* probe_scratch) const;
+  /// across the whole batch — the "group range queries per intermediate
+  /// space" amortization. Each interval is counted from the histogram's
+  /// probe table by the runtime-dispatched simd::HistogramRangeCount
+  /// kernel, which reproduces StreamingHistogram::EstimateCount bit for
+  /// bit; a median assembled from `counts_out` therefore equals the
+  /// interval-list MedianCount (the oracle).
+  void BatchTransformCounts(const FlatQueryRanges& ranges,
+                            double* counts_out) const;
 
   /// Samples inserted (identical across transforms; per-transform count).
   size_t SampleCount() const;

@@ -25,12 +25,13 @@ void StreamingHistogram::Insert(double position, double cost) {
   if (it != buckets_.end() && it->centroid == position) {
     it->count += 1.0;
     it->cost_sum += cost;
-    return;
+  } else {
+    buckets_.insert(it, Bucket{position, 1.0, cost});
+    if (buckets_.size() > max_buckets_) {
+      MergeAt(PickMergeIndex());
+    }
   }
-  buckets_.insert(it, Bucket{position, 1.0, cost});
-  if (buckets_.size() > max_buckets_) {
-    MergeAt(PickMergeIndex());
-  }
+  RebuildProbe();
 }
 
 size_t StreamingHistogram::PickMergeIndex() const {
@@ -115,6 +116,20 @@ void StreamingHistogram::ExportProbeCosts(double* cost) const {
   }
 }
 
+void StreamingHistogram::RebuildProbe() {
+  const size_t b = buckets_.size();
+  probe_.resize(5 * b);
+  double* base = probe_.data();
+  ExportProbe(base, base + b, base + 2 * b, base + 4 * b);
+  ExportProbeCosts(base + 3 * b);
+}
+
+StreamingHistogram::Probe StreamingHistogram::probe() const {
+  const size_t b = buckets_.size();
+  const double* base = probe_.data();
+  return Probe{base, base + b, base + 2 * b, base + 3 * b, base + 4 * b, b};
+}
+
 double StreamingHistogram::EstimateCount(double lo, double hi) const {
   if (buckets_.empty() || lo > hi) return 0.0;
   double count = 0.0;
@@ -162,6 +177,7 @@ double StreamingHistogram::EstimateAverageCost(double lo, double hi) const {
 void StreamingHistogram::Clear() {
   buckets_.clear();
   total_count_ = 0;
+  probe_.clear();
 }
 
 void StreamingHistogram::SerializeTo(ByteWriter* writer) const {
@@ -207,6 +223,7 @@ Result<StreamingHistogram> StreamingHistogram::Deserialize(
     prev_centroid = bucket.centroid;
     histogram.buckets_.push_back(bucket);
   }
+  histogram.RebuildProbe();
   return histogram;
 }
 

@@ -50,9 +50,7 @@ class StreamingHistogram {
   /// BucketExtent, raw counts and centroids, one entry per bucket in
   /// bucket order. Each output array must hold bucket_count() doubles.
   /// The values are exactly what EstimateCount computes internally, so a
-  /// kernel fed this table reproduces EstimateCount bit for bit — the
-  /// batched path amortizes the extent computation once per (histogram,
-  /// batch) instead of once per (point, bucket).
+  /// kernel fed this table reproduces EstimateCount bit for bit.
   void ExportProbe(double* left, double* right, double* count,
                    double* centroid) const;
 
@@ -60,6 +58,20 @@ class StreamingHistogram {
   /// (simd::HistogramRangeCountCost): per-bucket cost sums, one entry per
   /// bucket in bucket order. `cost` must hold bucket_count() doubles.
   void ExportProbeCosts(double* cost) const;
+
+  /// The ExportProbe + ExportProbeCosts table, kept current by every
+  /// mutation (Insert, Clear, Deserialize) so readers probe it without
+  /// recomputing a single bucket extent. Each array holds `size` =
+  /// bucket_count() entries; valid until the next mutation.
+  struct Probe {
+    const double* left;
+    const double* right;
+    const double* count;
+    const double* cost;
+    const double* centroid;
+    size_t size;
+  };
+  Probe probe() const;
 
   /// Count-weighted average cost of observations in [lo, hi]. Returns 0
   /// when the estimated count is 0.
@@ -101,11 +113,15 @@ class StreamingHistogram {
   /// Extent [left, right) over which bucket i's mass is assumed spread:
   /// midpoints to neighbouring centroids, clamped to [0, 1] at the ends.
   void BucketExtent(size_t i, double* left, double* right) const;
+  /// Recomputes probe_ from buckets_; every mutation ends with it.
+  void RebuildProbe();
 
   size_t max_buckets_;
   MergePolicy policy_;
   std::vector<Bucket> buckets_;  // sorted by centroid
   size_t total_count_ = 0;
+  /// [left | right | count | cost | centroid], bucket_count() each.
+  std::vector<double> probe_;
 };
 
 }  // namespace ppc

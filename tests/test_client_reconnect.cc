@@ -181,8 +181,14 @@ TEST_F(ClientReconnectTest, ParkedResponsesSurviveConnectionLoss) {
   PpcClient client;
   ASSERT_TRUE(Connect(&client).ok());
   auto first = client.SendPing();
-  auto second = client.SendPing();
   ASSERT_TRUE(first.ok());
+  // Responses may come back out of order (the worker pool answers
+  // pipelined requests independently), so wait until the first PING has
+  // been answered — the server counts it after writing the response —
+  // before sending the second. Its response is then ahead of the
+  // second's on the stream, and Wait(second) must park it.
+  AwaitCounter("server.requests.ping", 1);
+  auto second = client.SendPing();
   ASSERT_TRUE(second.ok());
 
   // Collecting the second response first parks the first one.

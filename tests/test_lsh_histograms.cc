@@ -94,7 +94,9 @@ TEST(LshHistogramsTest, PredictBatchBitIdenticalToScalarPredict) {
   // The acceptance bar of the batched serving path: for the same points
   // and the same predictor state, PredictBatch must return byte-identical
   // plans, confidences and cost estimates — EXPECT_EQ, no tolerance.
-  // Exercise both Z-range modes and a non-zero noise floor.
+  // Exercise both Z-range modes and a non-zero noise floor. The oracle is
+  // PredictReference: Predict itself rides the batch kernel, so comparing
+  // against it would check the batch path against itself.
   for (bool decomposition : {false, true}) {
     auto cfg = BaseConfig();
     cfg.interval_decomposition = decomposition;
@@ -111,7 +113,7 @@ TEST(LshHistogramsTest, PredictBatchBitIdenticalToScalarPredict) {
     ASSERT_EQ(batch.size(), count);
     for (size_t p = 0; p < count; ++p) {
       const Prediction scalar =
-          predictor.Predict({flat[2 * p], flat[2 * p + 1]});
+          predictor.PredictReference({flat[2 * p], flat[2 * p + 1]});
       EXPECT_EQ(batch[p].plan, scalar.plan) << "point " << p;
       EXPECT_EQ(batch[p].confidence, scalar.confidence) << "point " << p;
       EXPECT_EQ(batch[p].estimated_cost, scalar.estimated_cost)
@@ -144,6 +146,38 @@ TEST(LshHistogramsTest, PredictBatchIntoAllocatesNothingAfterWarmup) {
   // And it still answers: the warm path is the real path, not a stub.
   size_t answered = 0;
   for (const Prediction& p : out) answered += p.has_value() ? 1 : 0;
+  EXPECT_GT(answered, 0u);
+}
+
+TEST(LshHistogramsTest, PredictRidesTheBatchPathAndAllocatesNothing) {
+  // Predict is PredictBatchInto at count = 1: warm, it touches the heap
+  // no more than the batch path does (PredictReference, which builds
+  // nested range vectors per call, would), and it answers exactly as the
+  // batch path answers the same point.
+  auto cfg = BaseConfig();
+  cfg.noise_fraction = 0.002;
+  Rng rng(23);
+  LshHistogramsPredictor predictor(
+      cfg, SamplePoints(2, 2000, HalfSpacePlan, &rng));
+  Rng probe(29);
+  std::vector<std::vector<double>> points;
+  for (int i = 0; i < 32; ++i) {
+    points.push_back({probe.Uniform(), probe.Uniform()});
+  }
+  predictor.Predict(points[0]);
+  predictor.Predict(points[0]);
+  size_t answered = 0;
+  for (const std::vector<double>& x : points) {
+    const uint64_t before = ThreadAllocationCount();
+    const Prediction single = predictor.Predict(x);
+    EXPECT_EQ(ThreadAllocationCount(), before)
+        << "warm Predict must not touch the heap";
+    const Prediction batch = predictor.PredictBatch(x.data(), 1)[0];
+    EXPECT_EQ(single.plan, batch.plan);
+    EXPECT_EQ(single.confidence, batch.confidence);
+    EXPECT_EQ(single.estimated_cost, batch.estimated_cost);
+    answered += single.has_value() ? 1 : 0;
+  }
   EXPECT_GT(answered, 0u);
 }
 

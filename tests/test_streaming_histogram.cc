@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 
 namespace ppc {
@@ -92,6 +94,47 @@ TEST(StreamingHistogramTest, ClearResets) {
   EXPECT_EQ(h.TotalCount(), 0u);
   EXPECT_EQ(h.bucket_count(), 0u);
   EXPECT_EQ(h.EstimateCount(0.0, 1.0), 0.0);
+}
+
+/// The cached probe table must equal a fresh ExportProbe/ExportProbeCosts
+/// of the current buckets, exactly: the predict path reads only the cache.
+void ExpectProbeCurrent(const StreamingHistogram& h) {
+  const size_t b = h.bucket_count();
+  std::vector<double> fresh(5 * b);
+  h.ExportProbe(fresh.data(), fresh.data() + b, fresh.data() + 2 * b,
+                fresh.data() + 4 * b);
+  h.ExportProbeCosts(fresh.data() + 3 * b);
+  const StreamingHistogram::Probe probe = h.probe();
+  ASSERT_EQ(probe.size, b);
+  const double* cached[5] = {probe.left, probe.right, probe.count,
+                             probe.cost, probe.centroid};
+  for (size_t k = 0; k < 5; ++k) {
+    for (size_t i = 0; i < b; ++i) {
+      EXPECT_EQ(cached[k][i], fresh[k * b + i]) << "array " << k << " bucket "
+                                                << i;
+    }
+  }
+}
+
+TEST(StreamingHistogramTest, ProbeTableTracksEveryMutation) {
+  StreamingHistogram h(8);
+  ExpectProbeCurrent(h);
+  Rng rng(5);
+  for (int i = 0; i < 200; ++i) {
+    // Duplicates (count/cost only), fresh buckets, and merges past the
+    // budget all change the table.
+    const double position = i % 7 == 0 ? 0.25 : rng.Uniform();
+    h.Insert(position, rng.Uniform(1.0, 50.0));
+    ExpectProbeCurrent(h);
+  }
+  ByteWriter writer;
+  h.SerializeTo(&writer);
+  ByteReader reader(writer.buffer());
+  auto restored = StreamingHistogram::Deserialize(&reader);
+  ASSERT_TRUE(restored.ok());
+  ExpectProbeCurrent(restored.value());
+  h.Clear();
+  ExpectProbeCurrent(h);
 }
 
 TEST(StreamingHistogramTest, SpaceBytesIsTwelvePerBucket) {
