@@ -16,9 +16,11 @@
 #      zero wrong answers and an automatic warm rejoin,
 #   7. the JSON-emitting benches + validation of every BENCH_*.json,
 #   8. server smoke test (live TCP round-trips + clean shutdown),
-#   9. ASan build + the entire test suite,
-#  10. TSan build + the concurrency, metrics, server and router tests,
-#  11. chaos stage: the randomized fault-injection tests (ctest label
+#   9. perfbench smoke: every BENCHMARK.json workload, untraced and
+#      traced, with the benchmark's answer checks asserted,
+#  10. ASan build + the entire test suite,
+#  11. TSan build + the concurrency, metrics, server and router tests,
+#  12. chaos stage: the randomized fault-injection tests (ctest label
 #      `chaos`) under both sanitizers.
 # The deterministic ctest stages exclude the chaos label (-LE chaos) so
 # their runtime stays flat; the chaos stage runs it explicitly (-L chaos).
@@ -139,6 +141,15 @@ echo "==> server smoke test (ephemeral port, PREDICT/EXECUTE/METRICS over TCP)"
 # shuts it down gracefully; a non-zero exit or a hang fails the sweep.
 timeout 120 ./build/examples/mixed_workload_server >/dev/null
 echo "    server round-trips + clean shutdown ok"
+
+echo "==> perfbench smoke (every workload, untraced and traced)"
+# perfbench/smoke.py builds the benchmark from source (into
+# .bench_build/perfbench) and runs each BENCHMARK.json workload for about
+# a second, untraced and traced. It asserts the result line, the declared
+# metrics, and that every answer check the workload owes
+# (batch_equals_single, paced_equals_single, routed_equals_direct,
+# precision_floor, ...) ran and never failed.
+timeout 1800 python3 perfbench/smoke.py
 
 if [ "$SKIP_SAN" = 1 ]; then
   echo "==> sanitizer passes skipped"

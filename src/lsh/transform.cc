@@ -128,16 +128,6 @@ double RandomizedTransform::LinearizedPosition(
   return curve_.Linearize(Cell(point));
 }
 
-void RandomizedTransform::LinearizedPositionBatch(const double* points,
-                                                  size_t count,
-                                                  double* out) const {
-  const size_t s = static_cast<size_t>(config_.output_dims);
-  std::vector<double> transformed(count * s);
-  std::vector<uint32_t> cell(s);
-  LinearizedPositionBatch(points, count, out, transformed.data(),
-                          cell.data());
-}
-
 void RandomizedTransform::LinearizedPositionBatch(
     const double* points, size_t count, double* out, double* transformed_ws,
     uint32_t* cell_ws) const {

@@ -97,13 +97,9 @@ class RandomizedTransform {
 
   /// Z-order positions of `count` row-major points (layout as in
   /// ApplyBatch), written to `out[0 .. count)`. One transform pass, then
-  /// per-point cell bucketing and Z-order linearization.
-  void LinearizedPositionBatch(const double* points, size_t count,
-                               double* out) const;
-
-  /// Allocation-free variant for the serving fast path: the caller
-  /// provides the transform workspace (`transformed_ws`, count *
-  /// output_dims doubles) and the cell scratch (`cell_ws`, output_dims
+  /// per-point cell bucketing and Z-order linearization. Allocation-free:
+  /// the caller provides the transform workspace (`transformed_ws`, count
+  /// * output_dims doubles) and the cell scratch (`cell_ws`, output_dims
   /// entries) — typically from a per-request arena.
   void LinearizedPositionBatch(const double* points, size_t count,
                                double* out, double* transformed_ws,

@@ -73,6 +73,72 @@ ZInterval SlideClampInterval(double position, double delta) {
   return ZInterval{lo, hi};
 }
 
+/// Builds the flat transform-major query ranges of `count` row-major
+/// points into `scratch` (whose arena the caller has reset): the one range
+/// builder behind PredictBatchInto and EstimateCost. Bit-identical to
+/// LshHistogramsPredictor::QueryRanges, the reference builder, point by
+/// point. The result points into `scratch` and lives until its next reset.
+FlatQueryRanges BuildQueryRanges(const TransformEnsemble& transforms,
+                                 const LshHistogramsPredictor::Config& config,
+                                 const double* points, size_t count,
+                                 PredictScratch* scratch) {
+  Arena& arena = scratch->arena;
+  const size_t t = transforms.size();
+  const size_t s = static_cast<size_t>(transforms[0].config().output_dims);
+  FlatQueryRanges ranges;
+  ranges.transform_count = t;
+  ranges.point_count = count;
+  scratch->intervals.clear();
+  if (!config.interval_decomposition) {
+    // The paper's single range per point: one interval per slot, offsets
+    // implicit.
+    scratch->intervals.resize(t * count);
+    double* positions = arena.Array<double>(count);
+    double* transformed = arena.Array<double>(count * s);
+    uint32_t* cell = arena.Array<uint32_t>(s);
+    for (size_t i = 0; i < t; ++i) {
+      const RandomizedTransform& transform = transforms[i];
+      transform.LinearizedPositionBatch(points, count, positions,
+                                        transformed, cell);
+      // The half-width depends only on the transform and the radius, so
+      // it is computed once per batch.
+      const double cell_z = std::ldexp(1.0, -transform.curve().total_bits());
+      const double delta = std::max(
+          transform.RangeHalfWidth(config.radius), 0.5 * cell_z);
+      for (size_t p = 0; p < count; ++p) {
+        scratch->intervals[i * count + p] =
+            SlideClampInterval(positions[p], delta);
+      }
+    }
+    ranges.intervals = scratch->intervals.data();
+    return ranges;
+  }
+  // Exact Z-range decomposition: variable intervals per slot, explicit
+  // offsets. DecomposeBox allocates its result vector, so this mode does
+  // not meet the zero-allocation contract (it is the opt-in precision
+  // extension, not the serving default).
+  scratch->offsets.clear();
+  scratch->offsets.push_back(0);
+  double* transformed = arena.Array<double>(count * s);
+  for (size_t i = 0; i < t; ++i) {
+    const RandomizedTransform& transform = transforms[i];
+    transform.ApplyBatch(points, count, transformed);
+    for (size_t p = 0; p < count; ++p) {
+      transform.CellBoxFromTransformed(transformed + p * s, config.radius,
+                                       &scratch->cell_lo, &scratch->cell_hi);
+      const std::vector<ZInterval> decomposed = transform.curve().DecomposeBox(
+          scratch->cell_lo, scratch->cell_hi, config.max_z_intervals);
+      scratch->intervals.insert(scratch->intervals.end(), decomposed.begin(),
+                                decomposed.end());
+      scratch->offsets.push_back(
+          static_cast<uint32_t>(scratch->intervals.size()));
+    }
+  }
+  ranges.intervals = scratch->intervals.data();
+  ranges.offsets = scratch->offsets.data();
+  return ranges;
+}
+
 }  // namespace
 
 LshHistogramsPredictor::LshHistogramsPredictor(Config config)
@@ -170,44 +236,6 @@ std::vector<std::vector<ZInterval>> LshHistogramsPredictor::QueryRanges(
   return ranges;
 }
 
-std::vector<std::vector<std::vector<ZInterval>>>
-LshHistogramsPredictor::QueryRangesBatch(const double* points,
-                                         size_t count) const {
-  std::vector<std::vector<std::vector<ZInterval>>> ranges(transforms_.size());
-  const size_t s = static_cast<size_t>(
-      transforms_.size() == 0 ? 0 : transforms_[0].config().output_dims);
-  std::vector<double> workspace;
-  for (size_t i = 0; i < transforms_.size(); ++i) {
-    const RandomizedTransform& transform = transforms_[i];
-    ranges[i].resize(count);
-    if (config_.interval_decomposition) {
-      // One transform pass over the whole batch, then per-point cell boxes
-      // from the shared transformed coordinates.
-      workspace.resize(count * s);
-      transform.ApplyBatch(points, count, workspace.data());
-      std::vector<uint32_t> lo, hi;
-      for (size_t p = 0; p < count; ++p) {
-        transform.CellBoxFromTransformed(workspace.data() + p * s,
-                                         config_.radius, &lo, &hi);
-        ranges[i][p] =
-            transform.curve().DecomposeBox(lo, hi, config_.max_z_intervals);
-      }
-    } else {
-      // The paper's single range per point; the half-width depends only on
-      // the transform and the radius, so it is computed once per batch.
-      workspace.resize(count);
-      transform.LinearizedPositionBatch(points, count, workspace.data());
-      const double cell_z = std::ldexp(1.0, -transform.curve().total_bits());
-      const double delta = std::max(
-          transform.RangeHalfWidth(config_.radius), 0.5 * cell_z);
-      for (size_t p = 0; p < count; ++p) {
-        ranges[i][p] = {SlideClampInterval(workspace[p], delta)};
-      }
-    }
-  }
-  return ranges;
-}
-
 Prediction LshHistogramsPredictor::Predict(
     const std::vector<double>& x) const {
   PPC_DCHECK(static_cast<int>(x.size()) == config_.dimensions);
@@ -272,66 +300,9 @@ void LshHistogramsPredictor::PredictBatchInto(const double* points,
   PredictScratch& scratch = ThreadScratch();
   Arena& arena = scratch.arena;
   arena.Reset();
-
   const size_t t = transforms_.size();
-  const size_t s =
-      static_cast<size_t>(transforms_[0].config().output_dims);
-
-  // Build the flat transform-major query ranges — the fast-path analogue
-  // of QueryRangesBatch without its per-slot vector allocations.
-  FlatQueryRanges ranges;
-  ranges.transform_count = t;
-  ranges.point_count = count;
-  if (!config_.interval_decomposition) {
-    // The paper's single range per point: one interval per slot, offsets
-    // implicit.
-    scratch.intervals.clear();
-    scratch.intervals.resize(t * count);
-    double* positions = arena.Array<double>(count);
-    double* transformed = arena.Array<double>(count * s);
-    uint32_t* cell = arena.Array<uint32_t>(s);
-    for (size_t i = 0; i < t; ++i) {
-      const RandomizedTransform& transform = transforms_[i];
-      transform.LinearizedPositionBatch(points, count, positions,
-                                        transformed, cell);
-      // The half-width depends only on the transform and the radius, so
-      // it is computed once per batch.
-      const double cell_z = std::ldexp(1.0, -transform.curve().total_bits());
-      const double delta = std::max(
-          transform.RangeHalfWidth(config_.radius), 0.5 * cell_z);
-      for (size_t p = 0; p < count; ++p) {
-        scratch.intervals[i * count + p] =
-            SlideClampInterval(positions[p], delta);
-      }
-    }
-    ranges.intervals = scratch.intervals.data();
-    ranges.offsets = nullptr;
-  } else {
-    // Exact Z-range decomposition: variable intervals per slot, explicit
-    // offsets. DecomposeBox allocates its result vector, so this mode
-    // does not meet the zero-allocation contract (it is the opt-in
-    // precision extension, not the serving default).
-    scratch.intervals.clear();
-    scratch.offsets.clear();
-    scratch.offsets.push_back(0);
-    double* transformed = arena.Array<double>(count * s);
-    for (size_t i = 0; i < t; ++i) {
-      const RandomizedTransform& transform = transforms_[i];
-      transform.ApplyBatch(points, count, transformed);
-      for (size_t p = 0; p < count; ++p) {
-        transform.CellBoxFromTransformed(transformed + p * s, config_.radius,
-                                         &scratch.cell_lo, &scratch.cell_hi);
-        const std::vector<ZInterval> decomposed = transform.curve().DecomposeBox(
-            scratch.cell_lo, scratch.cell_hi, config_.max_z_intervals);
-        scratch.intervals.insert(scratch.intervals.end(), decomposed.begin(),
-                                 decomposed.end());
-        scratch.offsets.push_back(
-            static_cast<uint32_t>(scratch.intervals.size()));
-      }
-    }
-    ranges.intervals = scratch.intervals.data();
-    ranges.offsets = scratch.offsets.data();
-  }
+  const FlatQueryRanges ranges =
+      BuildQueryRanges(transforms_, config_, points, count, &scratch);
 
   const double noise_floor =
       config_.noise_fraction > 0.0
@@ -419,10 +390,16 @@ void LshHistogramsPredictor::PredictBatchInto(const double* points,
 
 double LshHistogramsPredictor::EstimateCost(const std::vector<double>& x,
                                             PlanId plan) const {
+  PPC_DCHECK(static_cast<int>(x.size()) == config_.dimensions);
   std::shared_lock<std::shared_mutex> lock(mu_);
   auto it = synopses_.find(plan);
   if (it == synopses_.end()) return 0.0;
-  return it->second.MedianAverageCost(QueryRanges(x));
+  PredictScratch& scratch = ThreadScratch();
+  scratch.arena.Reset();
+  const FlatQueryRanges ranges =
+      BuildQueryRanges(transforms_, config_, x.data(), 1, &scratch);
+  return it->second.MedianAverageCostFromProbes(
+      ranges, 0, scratch.arena.Array<double>(transforms_.size()));
 }
 
 uint64_t LshHistogramsPredictor::SpaceBytes() const {

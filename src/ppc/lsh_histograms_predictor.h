@@ -130,7 +130,10 @@ class LshHistogramsPredictor : public PlanPredictor {
 
   /// Estimated average execution cost of `plan` near `x` (the input to the
   /// negative-feedback misprediction test). 0 when the plan has no support
-  /// near x.
+  /// near x. Rides the batch path's flat ranges and probe tables from the
+  /// thread's arena scratch, so warm it allocates nothing in single-range
+  /// mode; bit-identical to PredictReference's estimated_cost whenever
+  /// `plan` is the plan PredictReference names.
   double EstimateCost(const std::vector<double>& x, PlanId plan) const;
 
   /// Drops every histogram and restarts sampling from scratch (paper
@@ -179,17 +182,11 @@ class LshHistogramsPredictor : public PlanPredictor {
 
   /// Curve intervals to query for `x`, one list per transform (a single
   /// interval in the paper's mode, a decomposition in extension mode).
-  /// All intervals lie within the histogram domain [0, 1]. Public for
-  /// tests and diagnostics; PredictReference and EstimateCost build on it.
+  /// All intervals lie within the histogram domain [0, 1]. The reference
+  /// range builder: PredictReference builds on it, and the flat builder
+  /// behind PredictBatchInto and EstimateCost must match it bit for bit.
   std::vector<std::vector<ZInterval>> QueryRanges(
       const std::vector<double>& x) const;
-
-  /// Batched QueryRanges over `count` row-major points. Note the
-  /// transform-major layout — result[i][p] is point p's interval list in
-  /// intermediate space i — chosen so downstream histogram queries can be
-  /// grouped per intermediate space. Public for tests and diagnostics.
-  std::vector<std::vector<std::vector<ZInterval>>> QueryRangesBatch(
-      const double* points, size_t count) const;
 
  private:
   /// Parses the checksum-verified config and data section payloads. Kept

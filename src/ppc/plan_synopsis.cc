@@ -21,33 +21,6 @@ void PlanSynopsis::Insert(size_t transform_idx, double position,
   histograms_[transform_idx].Insert(position, cost);
 }
 
-double PlanSynopsis::MedianCount(const std::vector<double>& positions,
-                                 const std::vector<double>& deltas) const {
-  PPC_DCHECK(positions.size() == histograms_.size());
-  PPC_DCHECK(deltas.size() == histograms_.size());
-  std::vector<double> counts;
-  counts.reserve(histograms_.size());
-  for (size_t i = 0; i < histograms_.size(); ++i) {
-    counts.push_back(histograms_[i].EstimateCount(positions[i] - deltas[i],
-                                                  positions[i] + deltas[i]));
-  }
-  return Median(std::move(counts));
-}
-
-double PlanSynopsis::MedianAverageCost(
-    const std::vector<double>& positions,
-    const std::vector<double>& deltas) const {
-  std::vector<double> costs;
-  for (size_t i = 0; i < histograms_.size(); ++i) {
-    const double count = histograms_[i].EstimateCount(
-        positions[i] - deltas[i], positions[i] + deltas[i]);
-    if (count <= 0.0) continue;
-    costs.push_back(histograms_[i].EstimateAverageCost(
-        positions[i] - deltas[i], positions[i] + deltas[i]));
-  }
-  return costs.empty() ? 0.0 : Median(std::move(costs));
-}
-
 double PlanSynopsis::MedianCount(
     const std::vector<std::vector<ZInterval>>& ranges) const {
   PPC_DCHECK(ranges.size() == histograms_.size());

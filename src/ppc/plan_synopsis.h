@@ -13,10 +13,10 @@ namespace ppc {
 /// The serving fast path's view of a batch's query ranges: all intervals
 /// in one flat array, transform-major (every interval of transform 0, then
 /// transform 1, ...), with slot (i, p) = i * point_count + p addressing
-/// point p's intervals in transform i. Replaces the
-/// vector<vector<vector<ZInterval>>> nesting, whose per-slot allocations
-/// dominated the predict profile. Non-owning — the backing storage lives
-/// in the caller's per-request scratch.
+/// point p's intervals in transform i. The flat counterpart of
+/// LshHistogramsPredictor::QueryRanges' nested vectors, whose per-slot
+/// allocations used to dominate the predict profile. Non-owning — the
+/// backing storage lives in the caller's per-request scratch.
 struct FlatQueryRanges {
   const ZInterval* intervals = nullptr;
   /// Slot offsets into `intervals`: slot k covers
@@ -51,19 +51,13 @@ class PlanSynopsis {
   void Insert(size_t transform_idx, double position, double cost);
 
   /// Density estimate: the median over transforms of the count in
-  /// [positions[i] - deltas[i], positions[i] + deltas[i]].
-  double MedianCount(const std::vector<double>& positions,
-                     const std::vector<double>& deltas) const;
-
-  /// Median over transforms of the average cost in the same ranges,
-  /// taken over transforms with non-zero local density.
-  double MedianAverageCost(const std::vector<double>& positions,
-                           const std::vector<double>& deltas) const;
-
-  /// Interval-list variants: ranges[i] is the (sorted, disjoint) set of
-  /// curve intervals to query in transform i; the per-transform count is
-  /// the sum over intervals (exact Z-range decomposition mode).
+  /// ranges[i], the (sorted, disjoint) set of curve intervals to query in
+  /// transform i; the per-transform count is the sum over intervals. The
+  /// reference form behind LshHistogramsPredictor::PredictReference.
   double MedianCount(const std::vector<std::vector<ZInterval>>& ranges) const;
+
+  /// Median over transforms of the average cost in the same ranges, taken
+  /// over transforms with non-zero local density. Reference form, as above.
   double MedianAverageCost(
       const std::vector<std::vector<ZInterval>>& ranges) const;
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -127,10 +128,11 @@ class PpcFramework {
 
   /// Pure read: asks the template's histogram predictor for a plan at
   /// `point` without executing anything, mutating any predictor state, or
-  /// consuming randomness. This is the serving-layer PREDICT path — safe
-  /// to call at any frequency from any thread (it takes only the
-  /// predictor's shared read lock) and never perturbs the online learning
-  /// loop the EXECUTE path drives.
+  /// consuming randomness. Safe to call at any frequency from any thread
+  /// (it takes only shared read locks and the brief generation-pointer
+  /// lock) and never perturbs the online learning loop the EXECUTE path
+  /// drives. It is PredictBatch at count = 1, run from stack storage, so
+  /// it allocates nothing on success.
   Result<PredictReport> PredictAtPoint(const std::string& template_name,
                                        const std::vector<double>& point) const;
 
@@ -209,15 +211,31 @@ class PpcFramework {
     PreparedTemplate prepared;
     std::unique_ptr<SelectivityMapper> mapper;
     /// The serving predictor generation. Readers load one snapshot
-    /// shared_ptr per request and use it throughout; the retune worker
-    /// (and the replication apply path) atomically store a fully built
-    /// replacement — readers never block on a handoff, and the old
-    /// generation is destroyed only after its last in-flight reader
-    /// drops its reference.
-    std::atomic<std::shared_ptr<OnlinePpcPredictor>> online;
+    /// shared_ptr per request (LoadOnline) and use it throughout; the
+    /// retune worker (and the replication apply path) swap in a fully
+    /// built replacement under `online_mu`. The lock covers only the
+    /// pointer copy or swap, never a prediction, so a handoff stalls no
+    /// reader; the old generation is destroyed only after its last
+    /// in-flight reader drops its reference. A plain mutex rather than
+    /// std::atomic<std::shared_ptr>, whose libstdc++ lock bit race
+    /// detectors cannot see through.
+    mutable std::mutex online_mu;
+    std::shared_ptr<OnlinePpcPredictor> online;
+
+    std::shared_ptr<OnlinePpcPredictor> LoadOnline() const {
+      std::lock_guard<std::mutex> lock(online_mu);
+      return online;
+    }
   };
 
   Result<TemplateState*> FindTemplate(const std::string& name);
+  /// The one body of PredictAtPoint and PredictBatch: looks the template
+  /// up, validates the `count` points of `dims` coordinates, runs one
+  /// batched predictor pass into `predictions` and fills `reports` (both
+  /// hold `count` entries). Allocates nothing on success.
+  Status PredictInto(const std::string& template_name, const double* points,
+                     size_t count, size_t dims, Prediction* predictions,
+                     PredictReport* reports) const;
 
   const Catalog* catalog_;
   Config config_;

@@ -102,6 +102,8 @@ Status PlanRouter::Start() {
       net::Listen(config_.bind_address, config_.port, /*backlog=*/64, &port_));
   instruments_.connections_accepted =
       &metrics_.counter("router.connections.accepted");
+  instruments_.connections_rejected =
+      &metrics_.counter("router.connections.rejected");
   instruments_.requests_forwarded =
       &metrics_.counter("router.requests.forwarded");
   instruments_.requests_local = &metrics_.counter("router.requests.local");
@@ -149,15 +151,11 @@ void PlanRouter::Wait() {
   if (accept_thread_.joinable()) accept_thread_.join();
   if (health_thread_.joinable()) health_thread_.join();
   // The accept thread has exited, so no new connection threads can
-  // appear — joining the snapshot below drains everything.
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    threads.swap(connection_threads_);
+  // appear and the list is this thread's alone.
+  for (ConnectionThread& connection : connection_threads_) {
+    connection.thread.join();
   }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  connection_threads_.clear();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -212,16 +210,35 @@ void PlanRouter::AcceptLoop() {
     struct pollfd entry = {listen_fd_, POLLIN, 0};
     const int ready =
         ::poll(&entry, 1, static_cast<int>(config_.idle_poll_ms));
+    ReapConnectionThreads();
     if (ready <= 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    if (connection_threads_.size() >= kMaxConnections) {
+      instruments_.connections_rejected->Increment();
+      ::close(fd);
+      continue;
+    }
     instruments_.connections_accepted->Increment();
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    connection_threads_.emplace_back(&PlanRouter::ServeConnection, this, fd);
+    ConnectionThread& connection = connection_threads_.emplace_back();
+    connection.thread = std::thread(&PlanRouter::ServeConnection, this, fd,
+                                    &connection.finished);
   }
 }
 
-void PlanRouter::ServeConnection(int fd) {
+void PlanRouter::ReapConnectionThreads() {
+  for (auto it = connection_threads_.begin();
+       it != connection_threads_.end();) {
+    if (!it->finished.load(std::memory_order_acquire)) {
+      ++it;
+      continue;
+    }
+    it->thread.join();
+    it = connection_threads_.erase(it);
+  }
+}
+
+void PlanRouter::ServeConnection(int fd, std::atomic<bool>* finished) {
   ConnectionState state(fd, config_.max_frame_bytes);
   char buffer[16 * 1024];
   bool open = true;
@@ -255,6 +272,7 @@ void PlanRouter::ServeConnection(int fd) {
     }
   }
   ::close(fd);
+  finished->store(true, std::memory_order_release);
 }
 
 bool PlanRouter::HandleFrame(ConnectionState* state,

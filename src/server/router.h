@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -64,17 +65,22 @@ namespace ppc {
 ///     shard-to-shard, not routed.
 ///   * kShutdown — ack, then drain the router itself.
 ///
-/// Threading model: one accept thread, one thread per client connection,
-/// plus one health thread (prober + replicator + rejoin driver). Each
-/// connection thread keeps its own PpcClient per shard, so backend
-/// connections never need cross-thread locking; the shared state is the
-/// ring + per-backend breakers behind a shared_mutex.
+/// Threading model: one accept thread, one thread per client connection
+/// (at most kMaxConnections, each joined by the accept thread as soon as
+/// its connection ends), plus one health thread (prober + replicator +
+/// rejoin driver). Each connection thread keeps its own PpcClient per
+/// shard, so backend connections never need cross-thread locking; the
+/// shared state is the ring + per-backend breakers behind a shared_mutex.
 ///
 /// Shutdown()/drain: async-signal-safe (atomic stores only). The accept,
 /// connection and health loops poll `idle_poll_ms`-bounded ticks and exit
 /// at the next one; in-flight forwards finish under the backend deadline.
 class PlanRouter {
  public:
+  /// Client connections served at once, PlanServer's default
+  /// max_connections: past it the router accepts and closes at once.
+  static constexpr size_t kMaxConnections = 64;
+
   struct Config {
     std::string bind_address = "127.0.0.1";
     /// 0 picks an ephemeral port; see port() after Start().
@@ -174,8 +180,19 @@ class PlanRouter {
     std::shared_ptr<BackendState> replica_state;
   };
 
+  /// One client connection's thread. `finished` is set as the thread
+  /// exits, so the accept thread can join it without blocking.
+  struct ConnectionThread {
+    std::thread thread;
+    std::atomic<bool> finished{false};
+  };
+
   void AcceptLoop();
-  void ServeConnection(int fd);
+  /// Joins every connection thread that has finished (accept thread
+  /// only), so a thread's stack never outlives its connection by more
+  /// than one accept-loop tick.
+  void ReapConnectionThreads();
+  void ServeConnection(int fd, std::atomic<bool>* finished);
   /// Decodes + dispatches one frame payload; false when the connection
   /// must close (protocol violation or shutdown handoff).
   bool HandleFrame(ConnectionState* state, const std::string& payload);
@@ -231,12 +248,14 @@ class PlanRouter {
 
   std::thread accept_thread_;
   std::thread health_thread_;
-  std::mutex threads_mu_;
-  std::vector<std::thread> connection_threads_;
+  /// Live connection threads: owned by the accept thread while it runs,
+  /// then by Wait(). A list, so each `finished` flag keeps its address.
+  std::list<ConnectionThread> connection_threads_;
 
   MetricsRegistry metrics_;
   struct {
     MetricsCounter* connections_accepted = nullptr;
+    MetricsCounter* connections_rejected = nullptr;
     MetricsCounter* requests_forwarded = nullptr;
     MetricsCounter* requests_local = nullptr;
     MetricsCounter* forward_failures = nullptr;

@@ -602,19 +602,6 @@ wire::Response PlanServer::HandleRequest(const wire::Request& request) {
     case wire::MessageType::kPing:
     case wire::MessageType::kShutdown:
       break;
-    case wire::MessageType::kPredict: {
-      Result<PpcFramework::PredictReport> report =
-          framework_->PredictAtPoint(request.template_name, request.point);
-      if (!report.ok()) {
-        response.status = WireStatusFrom(report.status());
-        response.error = report.status().message();
-        break;
-      }
-      response.predict.plan = report.value().plan;
-      response.predict.confidence = report.value().confidence;
-      response.predict.cache_hit = report.value().cache_hit;
-      break;
-    }
     case wire::MessageType::kExecute: {
       Result<PpcFramework::QueryReport> report =
           framework_->ExecuteAtPoint(request.template_name, request.point);
@@ -694,7 +681,9 @@ wire::Response PlanServer::HandleRequest(const wire::Request& request) {
       response.status = wire::WireStatus::kBadRequest;
       response.error = "topology operations are handled by the router";
       break;
-    case wire::MessageType::kInvalid:
+    default:
+      // kInvalid. A single-point PREDICT never gets here: WorkerLoop
+      // answers every one through ProcessPredictRun.
       response.status = wire::WireStatus::kBadRequest;
       response.error = "invalid message type";
       break;
@@ -713,10 +702,6 @@ void PlanServer::ProcessSingle(WorkItem* item) {
   item->conn->WriteFrame(payload);
   const double micros = MicrosSince(item->admitted);
   switch (item->request.type) {
-    case wire::MessageType::kPredict:
-      instruments_.requests_predict->Increment();
-      instruments_.predict_us->Record(micros);
-      break;
     case wire::MessageType::kPredictBatch:
       instruments_.requests_predict_batch->Increment();
       instruments_.predict_batch_us->Record(micros);
@@ -744,8 +729,7 @@ void PlanServer::ProcessSingle(WorkItem* item) {
       instruments_.requests_snapshot_apply->Increment();
       instruments_.replication_apply_us->Record(micros);
       break;
-    case wire::MessageType::kTopology:
-    case wire::MessageType::kInvalid:
+    default:
       break;
   }
   if (!response.ok()) instruments_.responses_error->Increment();
@@ -758,49 +742,61 @@ void PlanServer::ProcessSingle(WorkItem* item) {
 
 void PlanServer::ProcessPredictRun(WorkItem* items, size_t count) {
   failpoints::MaybeStall(failpoints::Hit(failpoints::Site::kDispatch));
-  const wire::Request& head = items[0].request;
-  const size_t dims = head.point.size();
-  std::vector<double> points;
-  points.reserve(count * dims);
-  for (size_t p = 0; p < count; ++p) {
-    if (config_.pre_dispatch_hook) {
+  if (config_.pre_dispatch_hook) {
+    for (size_t p = 0; p < count; ++p) {
       config_.pre_dispatch_hook(items[p].request.type);
     }
-    points.insert(points.end(), items[p].request.point.begin(),
-                  items[p].request.point.end());
+  }
+  AnswerPredictRun(items, count);
+}
+
+void PlanServer::AnswerPredictRun(WorkItem* items, size_t count) {
+  const wire::Request& head = items[0].request;
+  const size_t dims = head.point.size();
+  // A run of one predicts straight from its request's point buffer;
+  // longer runs gather their points into one row-major batch.
+  std::vector<double> gathered;
+  const double* points = head.point.data();
+  if (count > 1) {
+    gathered.reserve(count * dims);
+    for (size_t p = 0; p < count; ++p) {
+      gathered.insert(gathered.end(), items[p].request.point.begin(),
+                      items[p].request.point.end());
+    }
+    points = gathered.data();
   }
   Result<std::vector<PpcFramework::PredictReport>> reports =
-      framework_->PredictBatch(head.template_name, points.data(), count, dims);
-  if (!reports.ok()) {
+      framework_->PredictBatch(head.template_name, points, count, dims);
+  if (!reports.ok() && count > 1) {
     // A batch-level rejection (unknown template, bad arity, non-finite
     // coordinate) must not fail items that would succeed alone: answer
-    // each request on the scalar path instead. The hooks already ran.
-    for (size_t p = 0; p < count; ++p) {
-      wire::Response response = HandleRequest(items[p].request);
-      std::string payload;
-      wire::EncodeResponsePayload(response, &payload);
-      items[p].conn->WriteFrame(payload);
-      instruments_.requests_predict->Increment();
-      instruments_.predict_us->Record(MicrosSince(items[p].admitted));
-      if (!response.ok()) instruments_.responses_error->Increment();
-    }
+    // each request as a run of one instead.
+    for (size_t p = 0; p < count; ++p) AnswerPredictRun(&items[p], 1);
     return;
   }
   for (size_t p = 0; p < count; ++p) {
     wire::Response response;
     response.type = wire::MessageType::kPredict;
     response.id = items[p].request.id;
-    response.predict.plan = reports.value()[p].plan;
-    response.predict.confidence = reports.value()[p].confidence;
-    response.predict.cache_hit = reports.value()[p].cache_hit;
+    if (reports.ok()) {
+      response.predict.plan = reports.value()[p].plan;
+      response.predict.confidence = reports.value()[p].confidence;
+      response.predict.cache_hit = reports.value()[p].cache_hit;
+    } else {
+      response.status = WireStatusFrom(reports.status());
+      response.error = reports.status().message();
+      instruments_.responses_error->Increment();
+    }
     std::string payload;
     wire::EncodeResponsePayload(response, &payload);
     items[p].conn->WriteFrame(payload);
     instruments_.requests_predict->Increment();
     instruments_.predict_us->Record(MicrosSince(items[p].admitted));
   }
-  instruments_.microbatches->Increment();
-  instruments_.microbatched_predicts->Increment(count);
+  if (count > 1) {
+    instruments_.microbatches->Increment();
+    instruments_.microbatched_predicts->Increment(count);
+  }
 }
 
 void PlanServer::WorkerLoop() {
@@ -825,22 +821,20 @@ void PlanServer::WorkerLoop() {
     }
     size_t index = 0;
     while (index < batch.size()) {
+      if (batch[index].request.type != wire::MessageType::kPredict) {
+        ProcessSingle(&batch[index++]);
+        continue;
+      }
       size_t run = index + 1;
-      if (batch[index].request.type == wire::MessageType::kPredict) {
-        while (run < batch.size() &&
-               batch[run].request.type == wire::MessageType::kPredict &&
-               batch[run].request.template_name ==
-                   batch[index].request.template_name &&
-               batch[run].request.point.size() ==
-                   batch[index].request.point.size()) {
-          ++run;
-        }
+      while (run < batch.size() &&
+             batch[run].request.type == wire::MessageType::kPredict &&
+             batch[run].request.template_name ==
+                 batch[index].request.template_name &&
+             batch[run].request.point.size() ==
+                 batch[index].request.point.size()) {
+        ++run;
       }
-      if (run - index >= 2) {
-        ProcessPredictRun(&batch[index], run - index);
-      } else {
-        ProcessSingle(&batch[index]);
-      }
+      ProcessPredictRun(&batch[index], run - index);
       index = run;
     }
   }

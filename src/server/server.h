@@ -168,13 +168,17 @@ class PlanServer {
   /// SHUTTING_DOWN error instead of being silently dropped.
   void SweepUnansweredOnShutdown();
   wire::Response HandleRequest(const wire::Request& request);
-  /// Answers one work item the scalar way: hook, handle, write, account.
+  /// Answers one non-PREDICT work item: hook, handle, write, account.
   void ProcessSingle(WorkItem* item);
-  /// Answers `count` same-template single-point PREDICT items with one
-  /// batched predictor pass; falls back to per-item ProcessSingle when
-  /// the batch is rejected (e.g. one point is non-finite), so grouping
-  /// never changes which requests succeed.
+  /// Answers a run of `count` >= 1 same-template single-point PREDICT
+  /// items (the only path a PREDICT takes): failpoint and hooks, then
+  /// AnswerPredictRun.
   void ProcessPredictRun(WorkItem* items, size_t count);
+  /// One batched predictor pass for the run, written back item by item.
+  /// A rejected batch of two or more (e.g. one point is non-finite) falls
+  /// back to runs of one, so grouping never changes which requests
+  /// succeed. Only runs of two or more count as micro-batches.
+  void AnswerPredictRun(WorkItem* items, size_t count);
   void SendError(const std::shared_ptr<Connection>& conn,
                  wire::MessageType type, uint64_t id, wire::WireStatus status,
                  const std::string& message);

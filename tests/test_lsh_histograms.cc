@@ -34,14 +34,17 @@ TEST(PlanSynopsisTest, InsertAndMedianCount) {
   }
   EXPECT_EQ(synopsis.SampleCount(), 30u);
   // Ranges covering each transform's cluster: median of {30, 30, 30}.
-  EXPECT_NEAR(synopsis.MedianCount({0.2, 0.5, 0.8}, {0.05, 0.05, 0.05}), 30.0,
-              1.0);
+  EXPECT_NEAR(synopsis.MedianCount({{{0.15, 0.25}}, {{0.45, 0.55}},
+                                    {{0.75, 0.85}}}),
+              30.0, 1.0);
   // Ranges missing all clusters: median 0.
-  EXPECT_NEAR(synopsis.MedianCount({0.9, 0.1, 0.3}, {0.05, 0.05, 0.05}), 0.0,
-              0.5);
+  EXPECT_NEAR(synopsis.MedianCount({{{0.85, 0.95}}, {{0.05, 0.15}},
+                                    {{0.25, 0.35}}}),
+              0.0, 0.5);
   // Mixed: {30, 0, 0} -> median 0.
-  EXPECT_NEAR(synopsis.MedianCount({0.2, 0.1, 0.3}, {0.05, 0.05, 0.05}), 0.0,
-              0.5);
+  EXPECT_NEAR(synopsis.MedianCount({{{0.15, 0.25}}, {{0.05, 0.15}},
+                                    {{0.25, 0.35}}}),
+              0.0, 0.5);
 }
 
 TEST(PlanSynopsisTest, MedianAverageCostSkipsEmptyTransforms) {
@@ -50,9 +53,9 @@ TEST(PlanSynopsisTest, MedianAverageCostSkipsEmptyTransforms) {
   synopsis.Insert(0, 0.2, 100.0);
   synopsis.Insert(1, 0.9, 100.0);  // out of queried range below
   synopsis.Insert(2, 0.2, 100.0);
-  EXPECT_NEAR(
-      synopsis.MedianAverageCost({0.2, 0.2, 0.2}, {0.05, 0.05, 0.05}),
-      100.0, 1e-6);
+  EXPECT_NEAR(synopsis.MedianAverageCost({{{0.15, 0.25}}, {{0.15, 0.25}},
+                                          {{0.15, 0.25}}}),
+              100.0, 1e-6);
 }
 
 TEST(PlanSynopsisTest, SpaceBytes) {
@@ -179,29 +182,44 @@ TEST(LshHistogramsTest, PredictRidesTheBatchPathAndAllocatesNothing) {
     answered += single.has_value() ? 1 : 0;
   }
   EXPECT_GT(answered, 0u);
+  // EstimateCost shares the batch path's range builder and arena scratch,
+  // so it is just as heap-free once warm, for a plan with and without
+  // support near the point.
+  for (const std::vector<double>& x : points) {
+    for (PlanId plan : {PlanId{1}, PlanId{2}}) {
+      const uint64_t before = ThreadAllocationCount();
+      const double cost = predictor.EstimateCost(x, plan);
+      EXPECT_EQ(ThreadAllocationCount(), before)
+          << "warm EstimateCost must not touch the heap";
+      EXPECT_GE(cost, 0.0);
+    }
+  }
 }
 
-TEST(LshHistogramsTest, QueryRangesBatchMatchesScalarQueryRanges) {
+TEST(LshHistogramsTest, EstimateCostMatchesReferenceBitForBit) {
+  // EstimateCost rides the flat ranges and probe tables; for the plan the
+  // reference names it must return the reference's estimated_cost exactly
+  // (EXPECT_EQ, no tolerance), in both Z-range modes.
   for (bool decomposition : {false, true}) {
     auto cfg = BaseConfig();
     cfg.interval_decomposition = decomposition;
-    LshHistogramsPredictor predictor(cfg);
-    Rng probe(17);
-    const size_t count = 40;
-    std::vector<double> flat;
-    for (size_t i = 0; i < count * 2; ++i) flat.push_back(probe.Uniform());
-    const auto batch = predictor.QueryRangesBatch(flat.data(), count);
-    for (size_t p = 0; p < count; ++p) {
-      const auto scalar = predictor.QueryRanges({flat[2 * p], flat[2 * p + 1]});
-      ASSERT_EQ(batch.size(), scalar.size());
-      for (size_t i = 0; i < scalar.size(); ++i) {
-        ASSERT_EQ(batch[i][p].size(), scalar[i].size());
-        for (size_t k = 0; k < scalar[i].size(); ++k) {
-          EXPECT_EQ(batch[i][p][k].lo, scalar[i][k].lo);
-          EXPECT_EQ(batch[i][p][k].hi, scalar[i][k].hi);
-        }
-      }
+    cfg.noise_fraction = 0.002;
+    Rng rng(31);
+    LshHistogramsPredictor predictor(
+        cfg, SamplePoints(2, 2000, HalfSpacePlan, &rng));
+    Rng probe(37);
+    size_t answered = 0;
+    for (int i = 0; i < 100; ++i) {
+      const std::vector<double> x = {probe.Uniform(), probe.Uniform()};
+      const Prediction reference = predictor.PredictReference(x);
+      if (!reference.has_value()) continue;
+      ++answered;
+      EXPECT_EQ(predictor.EstimateCost(x, reference.plan),
+                reference.estimated_cost)
+          << "point " << i << " decomposition " << decomposition;
     }
+    EXPECT_GT(answered, 50u);
+    EXPECT_EQ(predictor.EstimateCost({0.5, 0.5}, PlanId{999}), 0.0);
   }
 }
 

@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -562,6 +565,100 @@ TEST_F(RouterTest, ConcurrentClientsRouteWithoutInterference) {
     }
   }
   EXPECT_EQ(sum, kTotal);
+}
+
+/// Threads in this process (entries of /proc/self/task).
+size_t ProcessThreadCount() {
+  size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+/// This process's virtual size in kB (the VmSize line of
+/// /proc/self/status).
+uint64_t ProcessVmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      uint64_t kb = 0;
+      status >> kb;
+      return kb;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
+
+TEST_F(RouterTest, ConnectionChurnLeavesNoThreadsOrStacksBehind) {
+  // A connection thread left unjoined until Wait() keeps its 8 MB stack
+  // mapped after its kernel task exits, so the thread count alone cannot
+  // see the leak; VmSize can. Sequential open / PING / close churn must
+  // leave both where they started, up to a small constant (glibc keeps a
+  // few freed stacks cached).
+  constexpr int kConnections = 300;
+  constexpr size_t kThreadSlack = 2;
+  constexpr uint64_t kVmSlackKb = 128 * 1024;
+  StartRouter();
+  auto ping_once = [&] {
+    PpcClient client;
+    ASSERT_TRUE(ConnectClient(&client).ok());
+    ASSERT_TRUE(client.Ping().ok());
+  };
+  ping_once();  // warm-up: first-connection allocations are not a leak
+  const auto settled = [&](size_t threads, uint64_t vm_kb) {
+    for (int spin = 0; spin < 500; ++spin) {
+      if (ProcessThreadCount() <= threads + kThreadSlack &&
+          ProcessVmSizeKb() <= vm_kb + kVmSlackKb) {
+        return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return false;
+  };
+  // Let the accept loop (10 ms ticks) reap the warm-up connection first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const size_t threads_before = ProcessThreadCount();
+  const uint64_t vm_before = ProcessVmSizeKb();
+  for (int i = 0; i < kConnections; ++i) ping_once();
+  EXPECT_TRUE(settled(threads_before, vm_before))
+      << "threads " << threads_before << " -> " << ProcessThreadCount()
+      << ", VmSize " << vm_before << " kB -> " << ProcessVmSizeKb() << " kB";
+  EXPECT_EQ(router_->metrics().counter("router.connections.accepted").value(),
+            static_cast<uint64_t>(kConnections + 1));
+  EXPECT_EQ(router_->metrics().counter("router.connections.rejected").value(),
+            0u);
+}
+
+TEST_F(RouterTest, ConnectionsPastTheCapAreRefused) {
+  StartRouter();
+  std::vector<std::unique_ptr<PpcClient>> held;
+  for (size_t i = 0; i < PlanRouter::kMaxConnections; ++i) {
+    held.push_back(std::make_unique<PpcClient>());
+    ASSERT_TRUE(ConnectClient(held.back().get()).ok());
+    ASSERT_TRUE(held.back()->Ping().ok()) << "connection " << i;
+  }
+  // One past the cap: the router accepts and closes at once.
+  PpcClient::Options options;
+  options.call_deadline_ms = 5000;
+  PpcClient refused(options);
+  ASSERT_TRUE(ConnectClient(&refused).ok());
+  EXPECT_FALSE(refused.Ping().ok());
+  EXPECT_EQ(router_->metrics().counter("router.connections.rejected").value(),
+            1u);
+  // Closing a held connection frees its slot for a newcomer.
+  held.pop_back();
+  bool admitted = false;
+  for (int attempt = 0; attempt < 200 && !admitted; ++attempt) {
+    PpcClient late(options);
+    admitted = ConnectClient(&late).ok() && late.Ping().ok();
+    if (!admitted) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(admitted);
 }
 
 TEST_F(RouterTest, ShutdownOverTheWireDrainsTheRouter) {

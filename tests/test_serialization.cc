@@ -111,10 +111,10 @@ TEST(PlanSynopsisSerdeTest, RoundTrip) {
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().transform_count(), 3u);
   EXPECT_EQ(restored.value().SampleCount(), original.SampleCount());
-  const std::vector<double> pos = {0.3, 0.5, 0.7};
-  const std::vector<double> del = {0.1, 0.1, 0.1};
-  EXPECT_EQ(restored.value().MedianCount(pos, del),
-            original.MedianCount(pos, del));
+  const std::vector<std::vector<ZInterval>> ranges = {
+      {{0.2, 0.4}}, {{0.4, 0.6}}, {{0.6, 0.8}}};
+  EXPECT_EQ(restored.value().MedianCount(ranges),
+            original.MedianCount(ranges));
 }
 
 class PredictorSerdeTest : public ::testing::Test {

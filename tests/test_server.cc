@@ -9,6 +9,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -270,6 +271,86 @@ TEST_F(ServerTest, MicrobatchedPredictsMatchUnbatchedAnswers) {
   EXPECT_GE(
       framework_->metrics().counter("server.microbatched_predicts").value(),
       12u);
+}
+
+TEST_F(ServerTest, RejectedMicrobatchFallsBackToRunsOfOne) {
+  WarmQ1(300);
+
+  // Same gate as above: twelve same-template PREDICTs queue up behind a
+  // held worker and reach it as one run, but point 6 is non-finite, so
+  // the batched pass rejects the whole run and the worker must answer
+  // every request on its own.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> entered{0};
+  PlanServer::Config config;
+  config.worker_threads = 1;
+  config.queue_capacity = 64;
+  config.max_microbatch = 16;
+  config.pre_dispatch_hook = [&](wire::MessageType) {
+    if (entered.fetch_add(1) == 0) {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return release; });
+    }
+  };
+  StartServer(config);
+
+  PpcClient client;
+  ASSERT_TRUE(ConnectClient(&client).ok());
+  auto gate = client.SendPing();
+  ASSERT_TRUE(gate.ok());
+  while (entered.load() == 0) std::this_thread::yield();
+
+  constexpr size_t kBad = 6;
+  Rng rng(31);
+  std::vector<uint64_t> ids;
+  std::vector<std::vector<double>> points;
+  for (size_t i = 0; i < 12; ++i) {
+    const double spread = (i % 3 == 0) ? 0.45 : 0.03;
+    points.push_back({0.5 + rng.Uniform(-spread, spread),
+                      0.5 + rng.Uniform(-spread, spread)});
+    if (i == kBad) points.back()[1] = std::numeric_limits<double>::infinity();
+    auto id = client.SendPredict("Q1", points.back());
+    ASSERT_TRUE(id.ok());
+    ids.push_back(id.value());
+  }
+  while (server_->queued_requests() < 12) std::this_thread::yield();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  ASSERT_TRUE(client.Wait(gate.value()).ok());
+
+  size_t answered = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto response = client.Wait(ids[i]);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    if (i == kBad) {
+      // INVALID_ARGUMENT travels as BAD_REQUEST on the wire.
+      EXPECT_EQ(response.value().status, wire::WireStatus::kBadRequest);
+      EXPECT_NE(response.value().error.find("not finite"), std::string::npos)
+          << response.value().error;
+      continue;
+    }
+    ASSERT_TRUE(response.value().ok()) << "point " << i;
+    auto unbatched = framework_->PredictAtPoint("Q1", points[i]);
+    ASSERT_TRUE(unbatched.ok());
+    EXPECT_EQ(response.value().predict.plan, unbatched.value().plan)
+        << "point " << i;
+    EXPECT_EQ(response.value().predict.confidence,
+              unbatched.value().confidence)
+        << "point " << i;
+    EXPECT_EQ(response.value().predict.cache_hit, unbatched.value().cache_hit)
+        << "point " << i;
+    answered += unbatched.value().plan != kNullPlanId ? 1 : 0;
+  }
+  EXPECT_GT(answered, 0u);
+  // The rejected run and its runs of one are not micro-batches.
+  EXPECT_EQ(Counter("server.microbatches"), 0u);
+  EXPECT_EQ(Counter("server.microbatched_predicts"), 0u);
+  EXPECT_EQ(Counter("server.requests.predict"), 12u);
 }
 
 TEST_F(ServerTest, ExecuteRoundTripFeedsTheOnlineLoop) {

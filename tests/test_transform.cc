@@ -76,7 +76,10 @@ TEST(TransformTest, LinearizedPositionBatchMatchesScalar) {
   std::vector<double> flat;
   for (size_t i = 0; i < count * 2; ++i) flat.push_back(points.Uniform());
   std::vector<double> positions(count);
-  t.LinearizedPositionBatch(flat.data(), count, positions.data());
+  std::vector<double> transformed(count * Config2D().output_dims);
+  std::vector<uint32_t> cell(Config2D().output_dims);
+  t.LinearizedPositionBatch(flat.data(), count, positions.data(),
+                            transformed.data(), cell.data());
   for (size_t p = 0; p < count; ++p) {
     EXPECT_EQ(positions[p], t.LinearizedPosition({flat[2 * p],
                                                   flat[2 * p + 1]}))
