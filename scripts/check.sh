@@ -29,6 +29,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
+# The tests every forced-scalar leg (PPC_DISABLE_AVX2=1) reruns: all that
+# reach the SIMD dispatch, the histogram probe tables included. One file
+# holds the regex so this script and .github/workflows/ci.yml agree.
+FORCED_SCALAR_TESTS="$(cat scripts/forced_scalar_tests.regex)"
 SKIP_SAN=0
 [ "${1:-}" = "--skip-sanitizers" ] && SKIP_SAN=1
 
@@ -40,14 +44,12 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -LE chaos -j "$JOBS")
 
-echo "==> forced-scalar leg (PPC_DISABLE_AVX2=1): kernels, transform, predictor"
+echo "==> forced-scalar leg (PPC_DISABLE_AVX2=1): kernels, histograms, predictor"
 # Reruns every test that exercises the SIMD dispatch with the AVX2 tier
 # disabled, so the portable scalar kernels stay a first-class code path
 # (they are the bit-identity oracle and the fallback on older CPUs).
 (cd build && PPC_DISABLE_AVX2=1 \
-  ctest --output-on-failure -LE chaos \
-    -R 'Simd|Transform|Zorder|LshHistograms|PlanSynopsis|Predictor|Retune|Generation' \
-    -j "$JOBS")
+  ctest --output-on-failure -LE chaos -R "$FORCED_SCALAR_TESTS" -j "$JOBS")
 
 echo "==> retune smoke (drift-triggered refit + warm generation handoff)"
 # bench_drift_recovery runs the retuning-on vs. -off arms end to end:
@@ -166,7 +168,7 @@ cmake --build build-asan -j "$JOBS"
 # The AVX2 kernels and the forced-scalar fallback both run under ASan:
 # once in the full suite above, once with the dispatch pinned to scalar.
 (cd build-asan && PPC_DISABLE_AVX2=1 \
-  ctest --output-on-failure -LE chaos -R 'Simd|Transform|Zorder' -j "$JOBS")
+  ctest --output-on-failure -LE chaos -R "$FORCED_SCALAR_TESTS" -j "$JOBS")
 
 echo "==> ThreadSanitizer build + concurrency, metrics and server tests"
 cmake -B build-tsan -S . -DPPC_SANITIZE=thread \

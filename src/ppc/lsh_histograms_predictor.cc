@@ -56,6 +56,25 @@ uint64_t EnsembleSeed(const LshHistogramsPredictor::Config& config) {
                                      config.transform_generation);
 }
 
+/// The single-range half-width of `transform` at `radius`: the
+/// hypersphere-volume rule, floored at half a grid cell's share of the
+/// curve so the range never degenerates below the Z-order resolution.
+/// Shared by the reference range builder, which calls it per query, and
+/// the predictor's construction-time table of half-widths.
+double HalfWidth(const RandomizedTransform& transform, double radius) {
+  const double cell_z = std::ldexp(1.0, -transform.curve().total_bits());
+  return std::max(transform.RangeHalfWidth(radius), 0.5 * cell_z);
+}
+
+std::vector<double> HalfWidths(const TransformEnsemble& transforms,
+                               double radius) {
+  std::vector<double> widths(transforms.size());
+  for (size_t i = 0; i < transforms.size(); ++i) {
+    widths[i] = HalfWidth(transforms[i], radius);
+  }
+  return widths;
+}
+
 /// Clamps [position - delta, position + delta] to the histogram domain
 /// [0, 1], sliding the interval inward first so a query at the plan-space
 /// boundary still covers its full 2*delta of curve length. Shared by the
@@ -75,10 +94,12 @@ ZInterval SlideClampInterval(double position, double delta) {
 
 /// Builds the flat transform-major query ranges of `count` row-major
 /// points into `scratch` (whose arena the caller has reset): the one range
-/// builder behind PredictBatchInto and EstimateCost. Bit-identical to
+/// builder behind PredictBatchInto and EstimateCost. `half_widths` holds
+/// each transform's HalfWidth at config.radius. Bit-identical to
 /// LshHistogramsPredictor::QueryRanges, the reference builder, point by
 /// point. The result points into `scratch` and lives until its next reset.
 FlatQueryRanges BuildQueryRanges(const TransformEnsemble& transforms,
+                                 const double* half_widths,
                                  const LshHistogramsPredictor::Config& config,
                                  const double* points, size_t count,
                                  PredictScratch* scratch) {
@@ -97,14 +118,9 @@ FlatQueryRanges BuildQueryRanges(const TransformEnsemble& transforms,
     double* transformed = arena.Array<double>(count * s);
     uint32_t* cell = arena.Array<uint32_t>(s);
     for (size_t i = 0; i < t; ++i) {
-      const RandomizedTransform& transform = transforms[i];
-      transform.LinearizedPositionBatch(points, count, positions,
-                                        transformed, cell);
-      // The half-width depends only on the transform and the radius, so
-      // it is computed once per batch.
-      const double cell_z = std::ldexp(1.0, -transform.curve().total_bits());
-      const double delta = std::max(
-          transform.RangeHalfWidth(config.radius), 0.5 * cell_z);
+      transforms[i].LinearizedPositionBatch(points, count, positions,
+                                            transformed, cell);
+      const double delta = half_widths[i];
       for (size_t p = 0; p < count; ++p) {
         scratch->intervals[i * count + p] =
             SlideClampInterval(positions[p], delta);
@@ -144,7 +160,8 @@ FlatQueryRanges BuildQueryRanges(const TransformEnsemble& transforms,
 LshHistogramsPredictor::LshHistogramsPredictor(Config config)
     : config_(config),
       transforms_(MakeTransformConfig(config), config.transform_count,
-                  EnsembleSeed(config)) {}
+                  EnsembleSeed(config)),
+      half_widths_(HalfWidths(transforms_, config.radius)) {}
 
 LshHistogramsPredictor::LshHistogramsPredictor(
     Config config, const std::vector<LabeledPoint>& sample)
@@ -156,6 +173,7 @@ LshHistogramsPredictor::LshHistogramsPredictor(
     const LshHistogramsPredictor& other)
     : config_(other.config_),
       transforms_(other.transforms_),
+      half_widths_(other.half_widths_),
       synopses_(other.synopses_),
       total_samples_(other.total_samples_) {}
 
@@ -163,6 +181,7 @@ LshHistogramsPredictor::LshHistogramsPredictor(
     LshHistogramsPredictor&& other) noexcept
     : config_(std::move(other.config_)),
       transforms_(std::move(other.transforms_)),
+      half_widths_(std::move(other.half_widths_)),
       synopses_(std::move(other.synopses_)),
       total_samples_(other.total_samples_) {}
 
@@ -171,6 +190,7 @@ LshHistogramsPredictor& LshHistogramsPredictor::operator=(
   if (this != &other) {
     config_ = other.config_;
     transforms_ = other.transforms_;
+    half_widths_ = other.half_widths_;
     synopses_ = other.synopses_;
     total_samples_ = other.total_samples_;
   }
@@ -182,6 +202,7 @@ LshHistogramsPredictor& LshHistogramsPredictor::operator=(
   if (this != &other) {
     config_ = std::move(other.config_);
     transforms_ = std::move(other.transforms_);
+    half_widths_ = std::move(other.half_widths_);
     synopses_ = std::move(other.synopses_);
     total_samples_ = other.total_samples_;
   }
@@ -217,14 +238,11 @@ std::vector<std::vector<ZInterval>> LshHistogramsPredictor::QueryRanges(
       ranges[i] =
           transform.curve().DecomposeBox(lo, hi, config_.max_z_intervals);
     } else {
-      // The paper's single range: half-width from the hypersphere-volume
-      // rule, floored at half a grid cell's share of the curve so the
-      // range never degenerates below the Z-order resolution.
+      // The paper's single range. The half-width is recomputed here, not
+      // read from half_widths_, so that comparing against this builder
+      // also checks the stored values.
       const double position = transform.LinearizedPosition(x);
-      const double cell_z =
-          std::ldexp(1.0, -transform.curve().total_bits());
-      const double delta = std::max(
-          transform.RangeHalfWidth(config_.radius), 0.5 * cell_z);
+      const double delta = HalfWidth(transform, config_.radius);
       // Clamp to the histogram domain [0, 1], sliding the interval inward
       // first so a query at the plan-space boundary still covers its full
       // 2*delta of curve length (the decomposed branch clamps its cell box
@@ -301,8 +319,8 @@ void LshHistogramsPredictor::PredictBatchInto(const double* points,
   Arena& arena = scratch.arena;
   arena.Reset();
   const size_t t = transforms_.size();
-  const FlatQueryRanges ranges =
-      BuildQueryRanges(transforms_, config_, points, count, &scratch);
+  const FlatQueryRanges ranges = BuildQueryRanges(
+      transforms_, half_widths_.data(), config_, points, count, &scratch);
 
   const double noise_floor =
       config_.noise_fraction > 0.0
@@ -357,7 +375,8 @@ void LshHistogramsPredictor::PredictBatchInto(const double* points,
   // Cost estimation runs only for the winning plan of a confident point,
   // exactly as in PredictReference — but grouped by plan so (in
   // single-range mode) the grouped points run through one across-queries
-  // kernel call per transform.
+  // kernel call per transform. A group of one takes the per-point form,
+  // which calls the single-query kernel directly.
   uint32_t* group_idx = arena.Array<uint32_t>(count);
   double* bounds_ws = arena.Array<double>(2 * count);
   double* counts_ws = arena.Array<double>(t * count);
@@ -371,7 +390,7 @@ void LshHistogramsPredictor::PredictBatchInto(const double* points,
       }
     }
     if (group == 0) continue;
-    if (ranges.offsets == nullptr) {
+    if (ranges.offsets == nullptr && group > 1) {
       synopsis.BatchAverageCostsFromProbes(ranges, group_idx, group,
                                            bounds_ws, counts_ws, costs_ws,
                                            median_scratch, group_costs);
@@ -396,8 +415,8 @@ double LshHistogramsPredictor::EstimateCost(const std::vector<double>& x,
   if (it == synopses_.end()) return 0.0;
   PredictScratch& scratch = ThreadScratch();
   scratch.arena.Reset();
-  const FlatQueryRanges ranges =
-      BuildQueryRanges(transforms_, config_, x.data(), 1, &scratch);
+  const FlatQueryRanges ranges = BuildQueryRanges(
+      transforms_, half_widths_.data(), config_, x.data(), 1, &scratch);
   return it->second.MedianAverageCostFromProbes(
       ranges, 0, scratch.arena.Array<double>(transforms_.size()));
 }

@@ -197,10 +197,14 @@ class LshHistogramsPredictor : public PlanPredictor {
 
   Config config_;
   TransformEnsemble transforms_;
+  /// Each transform's single-range half-width at config_.radius, computed
+  /// once at construction: the serving range builder reads it, so no
+  /// query pays the tgamma/pow of RandomizedTransform::RangeHalfWidth.
+  std::vector<double> half_widths_;
   std::map<PlanId, PlanSynopsis> synopses_;
   size_t total_samples_ = 0;
-  /// Guards synopses_ and total_samples_ (config_ and transforms_ are
-  /// immutable after construction).
+  /// Guards synopses_ and total_samples_ (config_, transforms_ and
+  /// half_widths_ are immutable after construction).
   mutable std::shared_mutex mu_;
 };
 

@@ -66,14 +66,17 @@ void PlanSynopsis::BatchTransformCounts(const FlatQueryRanges& ranges,
     // arrays.
     const StreamingHistogram::Probe probe = histograms_[i].probe();
     double* row = counts_out + i * ranges.point_count;
-    if (ranges.offsets == nullptr) {
+    if (ranges.offsets == nullptr && ranges.point_count > 1) {
       // Single-range mode: transform i's intervals are one contiguous
       // (lo, hi) pair per point, exactly the bounds layout the
       // across-queries kernel consumes — one call counts the whole batch
-      // with each lane running the scalar accumulation sequence.
+      // with each lane running the scalar accumulation sequence. A lone
+      // point (Predict, PredictAtPoint) takes the loop below, which calls
+      // the single-query kernel directly.
       static_assert(sizeof(ZInterval) == 2 * sizeof(double));
       simd::HistogramRangeCountMany(
           probe.left, probe.right, probe.count, probe.centroid, probe.size,
+          probe.ascending,
           reinterpret_cast<const double*>(ranges.intervals +
                                           i * ranges.point_count),
           ranges.point_count, row);
@@ -83,10 +86,9 @@ void PlanSynopsis::BatchTransformCounts(const FlatQueryRanges& ranges,
       double total = 0.0;
       const auto [begin, end] = ranges.Slice(i, p);
       for (const ZInterval* interval = begin; interval != end; ++interval) {
-        total += simd::HistogramRangeCount(probe.left, probe.right,
-                                           probe.count, probe.centroid,
-                                           probe.size, interval->lo,
-                                           interval->hi);
+        total += simd::HistogramRangeCount(
+            probe.left, probe.right, probe.count, probe.centroid, probe.size,
+            probe.ascending, interval->lo, interval->hi);
       }
       row[p] = total;
     }
@@ -107,7 +109,8 @@ double PlanSynopsis::MedianAverageCostFromProbes(const FlatQueryRanges& ranges,
       double c, cost;
       simd::HistogramRangeCountCost(probe.left, probe.right, probe.count,
                                     probe.cost, probe.centroid, probe.size,
-                                    interval->lo, interval->hi, &c, &cost);
+                                    probe.ascending, interval->lo,
+                                    interval->hi, &c, &cost);
       if (c <= 0.0) continue;
       count += c;
       // c * (cost / c), not cost: the scalar oracle computes
@@ -140,7 +143,8 @@ void PlanSynopsis::BatchAverageCostsFromProbes(
     const StreamingHistogram::Probe probe = histograms_[i].probe();
     simd::HistogramRangeCountCostMany(
         probe.left, probe.right, probe.count, probe.cost, probe.centroid,
-        probe.size, bounds_ws, n, counts_ws + i * n, costs_ws + i * n);
+        probe.size, probe.ascending, bounds_ws, n, counts_ws + i * n,
+        costs_ws + i * n);
   }
   for (size_t k = 0; k < n; ++k) {
     // Same per-transform accumulation as MedianAverageCostFromProbes,

@@ -62,7 +62,11 @@ class StreamingHistogram {
   /// The ExportProbe + ExportProbeCosts table, kept current by every
   /// mutation (Insert, Clear, Deserialize) so readers probe it without
   /// recomputing a single bucket extent. Each array holds `size` =
-  /// bucket_count() entries; valid until the next mutation.
+  /// bucket_count() entries; valid until the next mutation. `ascending`
+  /// says the table meets simd::BucketWindow's precondition, so the range
+  /// kernels may sum only the buckets a query can touch. It turns false,
+  /// and they scan every bucket, once a merged centroid rounds out of
+  /// order or a sum turns non-finite, until Clear.
   struct Probe {
     const double* left;
     const double* right;
@@ -70,6 +74,7 @@ class StreamingHistogram {
     const double* cost;
     const double* centroid;
     size_t size;
+    bool ascending;
   };
   Probe probe() const;
 
@@ -97,7 +102,9 @@ class StreamingHistogram {
   void SerializeTo(ByteWriter* writer) const;
 
   /// Reconstructs a histogram from a snapshot. Fails with OutOfRange on
-  /// truncation and InvalidArgument on malformed content.
+  /// truncation and InvalidArgument on malformed content: centroids that
+  /// are NaN, outside [0, 1] or descending, and counts or cost sums that
+  /// are negative (counts) or non-finite.
   static Result<StreamingHistogram> Deserialize(ByteReader* reader);
 
  private:
@@ -115,6 +122,9 @@ class StreamingHistogram {
   void BucketExtent(size_t i, double* left, double* right) const;
   /// Recomputes probe_ from buckets_; every mutation ends with it.
   void RebuildProbe();
+  /// Clears probe_ascending_ if bucket i, just changed, is out of centroid
+  /// order, outside [0, 1] or holds a non-finite sum.
+  void CheckWindowPrecondition(size_t i);
 
   size_t max_buckets_;
   MergePolicy policy_;
@@ -122,6 +132,9 @@ class StreamingHistogram {
   size_t total_count_ = 0;
   /// [left | right | count | cost | centroid], bucket_count() each.
   std::vector<double> probe_;
+  /// Probe::ascending. Deserialize admits only tables that meet it and
+  /// Clear restores it; Insert keeps it by CheckWindowPrecondition.
+  bool probe_ascending_ = true;
 };
 
 }  // namespace ppc

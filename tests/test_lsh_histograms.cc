@@ -223,6 +223,65 @@ TEST(LshHistogramsTest, EstimateCostMatchesReferenceBitForBit) {
   }
 }
 
+TEST(LshHistogramsTest, CopiesAndMovesCarryStoredHalfWidths) {
+  // The serving range builder reads half-widths stored at construction;
+  // the reference recomputes them from the config. Each hand-written
+  // special member must carry the stored values, so every copy and move
+  // answers Predict and EstimateCost as PredictReference does. The
+  // assignment targets start with another radius, hence other stored
+  // half-widths, which a member that skipped them would keep.
+  auto cfg = BaseConfig();
+  cfg.noise_fraction = 0.002;
+  auto other_cfg = cfg;
+  other_cfg.radius = 0.3;
+  Rng rng(41);
+  const std::vector<LabeledPoint> sample =
+      SamplePoints(2, 2000, HalfSpacePlan, &rng);
+  const LshHistogramsPredictor source(cfg, sample);
+
+  LshHistogramsPredictor copy_constructed(source);
+  LshHistogramsPredictor move_source(source);
+  LshHistogramsPredictor move_constructed(std::move(move_source));
+  LshHistogramsPredictor copy_assigned(other_cfg, sample);
+  copy_assigned = source;
+  LshHistogramsPredictor move_assigned(other_cfg, sample);
+  LshHistogramsPredictor move_assign_source(source);
+  move_assigned = std::move(move_assign_source);
+
+  const LshHistogramsPredictor stale(other_cfg, sample);
+  Rng probe(43);
+  size_t answered = 0;
+  size_t stale_differs = 0;
+  for (int i = 0; i < 200; ++i) {
+    const std::vector<double> x = {probe.Uniform(), probe.Uniform()};
+    const Prediction reference = source.PredictReference(x);
+    answered += reference.has_value() ? 1 : 0;
+    const Prediction old = stale.Predict(x);
+    stale_differs += old.plan != reference.plan ||
+                             old.confidence != reference.confidence
+                         ? 1
+                         : 0;
+    for (const LshHistogramsPredictor* p :
+         {&copy_constructed, &move_constructed, &copy_assigned,
+          &move_assigned}) {
+      const Prediction got = p->Predict(x);
+      EXPECT_EQ(got.plan, reference.plan) << "point " << i;
+      EXPECT_EQ(got.confidence, reference.confidence) << "point " << i;
+      EXPECT_EQ(got.estimated_cost, reference.estimated_cost)
+          << "point " << i;
+      if (reference.has_value()) {
+        EXPECT_EQ(p->EstimateCost(x, reference.plan),
+                  reference.estimated_cost)
+            << "point " << i;
+      }
+    }
+  }
+  EXPECT_GT(answered, 100u);
+  // The radius the targets started with does change answers, so a stale
+  // half-width could not pass unnoticed.
+  EXPECT_GT(stale_differs, 0u);
+}
+
 TEST(LshHistogramsTest, PredictBatchOnEmptyPredictorReturnsNulls) {
   LshHistogramsPredictor predictor(BaseConfig());
   const std::vector<double> flat = {0.1, 0.2, 0.8, 0.9};

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -93,6 +94,56 @@ TEST(StreamingHistogramSerdeTest, RejectsMalformedContent) {
   ByteReader reader(writer.buffer());
   EXPECT_EQ(StreamingHistogram::Deserialize(&reader).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+/// One serialized histogram: budget 8, default policy, whose buckets are
+/// the given (centroid, count, cost_sum) triples.
+std::string HistogramBytes(
+    const std::vector<std::array<double, 3>>& buckets) {
+  ByteWriter writer;
+  writer.PutU32(8);
+  writer.PutU8(0);
+  writer.PutU64(buckets.size());
+  writer.PutU32(static_cast<uint32_t>(buckets.size()));
+  for (const std::array<double, 3>& bucket : buckets) {
+    for (const double v : bucket) writer.PutDouble(v);
+  }
+  return writer.Take();
+}
+
+TEST(StreamingHistogramSerdeTest, RejectsBucketsThatBreakTheProbeWindow) {
+  // A snapshot may come from a peer; its buckets must satisfy what Insert
+  // guarantees, or the probe kernels could not window their sweeps.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<std::array<double, 3>>> malformed = {
+      {{nan, 1.0, 1.0}},                                   // NaN centroid
+      {{0.2, 1.0, 1.0}, {nan, 1.0, 1.0}, {0.9, 1.0, 1.0}},  // NaN mid-way
+      {{0.5, 1.0, 1.0}, {0.4, 1.0, 1.0}},                   // descending
+      {{-0.1, 1.0, 1.0}},                                   // below 0
+      {{0.5, 1.0, 1.0}, {1.5, 1.0, 1.0}},                   // above 1
+      {{inf, 1.0, 1.0}},
+      {{0.5, -1.0, 1.0}},                                   // negative count
+      {{0.5, nan, 1.0}},
+      {{0.5, inf, 1.0}},
+      {{0.5, 1.0, nan}},
+      {{0.5, 1.0, inf}},
+      {{0.5, 1.0, -inf}},
+  };
+  for (size_t k = 0; k < malformed.size(); ++k) {
+    const std::string bytes = HistogramBytes(malformed[k]);
+    ByteReader reader(bytes);
+    EXPECT_EQ(StreamingHistogram::Deserialize(&reader).status().code(),
+              StatusCode::kInvalidArgument)
+        << "case " << k;
+  }
+  // The domain's ends, duplicate centroids and a zero count stay valid.
+  const std::string bytes = HistogramBytes(
+      {{0.0, 2.0, 3.0}, {0.5, 0.0, 0.0}, {0.5, 1.0, 4.0}, {1.0, 1.0, 1.0}});
+  ByteReader reader(bytes);
+  auto restored = StreamingHistogram::Deserialize(&reader);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(restored.value().probe().ascending);
 }
 
 TEST(PlanSynopsisSerdeTest, RoundTrip) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "test_util.h"
 
 namespace ppc {
 namespace {
@@ -98,6 +99,8 @@ TEST(StreamingHistogramTest, ClearResets) {
 
 /// The cached probe table must equal a fresh ExportProbe/ExportProbeCosts
 /// of the current buckets, exactly: the predict path reads only the cache.
+/// It must also claim, truthfully, that its extents ascend, so the range
+/// kernels take their bucket window rather than the full-scan fallback.
 void ExpectProbeCurrent(const StreamingHistogram& h) {
   const size_t b = h.bucket_count();
   std::vector<double> fresh(5 * b);
@@ -114,27 +117,39 @@ void ExpectProbeCurrent(const StreamingHistogram& h) {
                                                 << i;
     }
   }
+  EXPECT_TRUE(probe.ascending) << h.DebugString();
+  EXPECT_TRUE(testutil::ProbeMeetsWindowPrecondition(
+      fresh.data(), fresh.data() + b, fresh.data() + 2 * b,
+      fresh.data() + 3 * b, fresh.data() + 4 * b, b));
 }
 
 TEST(StreamingHistogramTest, ProbeTableTracksEveryMutation) {
-  StreamingHistogram h(8);
-  ExpectProbeCurrent(h);
-  Rng rng(5);
-  for (int i = 0; i < 200; ++i) {
-    // Duplicates (count/cost only), fresh buckets, and merges past the
-    // budget all change the table.
-    const double position = i % 7 == 0 ? 0.25 : rng.Uniform();
-    h.Insert(position, rng.Uniform(1.0, 50.0));
+  for (const StreamingHistogram::MergePolicy policy :
+       {StreamingHistogram::MergePolicy::kMinVarianceIncrease,
+        StreamingHistogram::MergePolicy::kNearestCentroid,
+        StreamingHistogram::MergePolicy::kEquiWidth}) {
+    StreamingHistogram h(8, policy);
+    ExpectProbeCurrent(h);
+    Rng rng(5);
+    for (int i = 0; i < 200; ++i) {
+      // Duplicates (count/cost only), fresh buckets, merges past the
+      // budget, and the domain's two ends all change the table.
+      const double position = i % 7 == 0    ? 0.25
+                              : i % 23 == 0 ? 0.0
+                              : i % 29 == 0 ? 1.0
+                                            : rng.Uniform();
+      h.Insert(position, rng.Uniform(1.0, 50.0));
+      ExpectProbeCurrent(h);
+    }
+    ByteWriter writer;
+    h.SerializeTo(&writer);
+    ByteReader reader(writer.buffer());
+    auto restored = StreamingHistogram::Deserialize(&reader);
+    ASSERT_TRUE(restored.ok());
+    ExpectProbeCurrent(restored.value());
+    h.Clear();
     ExpectProbeCurrent(h);
   }
-  ByteWriter writer;
-  h.SerializeTo(&writer);
-  ByteReader reader(writer.buffer());
-  auto restored = StreamingHistogram::Deserialize(&reader);
-  ASSERT_TRUE(restored.ok());
-  ExpectProbeCurrent(restored.value());
-  h.Clear();
-  ExpectProbeCurrent(h);
 }
 
 TEST(StreamingHistogramTest, SpaceBytesIsTwelvePerBucket) {
