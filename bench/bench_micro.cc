@@ -99,9 +99,7 @@ void BM_StreamingHistogramRangeQuery(benchmark::State& state) {
 BENCHMARK(BM_StreamingHistogramRangeQuery)->Arg(40)->Arg(160);
 
 // The served form of the same range query: the dispatched probe kernel on
-// the histogram's cached probe table. The second argument is 1 for the
-// bucket window the serving path takes on an ascending table and 0 for
-// the full scan of every bucket.
+// the histogram's cached probe table.
 void BM_StreamingHistogramProbe(benchmark::State& state) {
   StreamingHistogram histogram(static_cast<size_t>(state.range(0)));
   Rng rng(5);
@@ -109,19 +107,14 @@ void BM_StreamingHistogramProbe(benchmark::State& state) {
     histogram.Insert(rng.Uniform(), rng.Uniform(1.0, 100.0));
   }
   const StreamingHistogram::Probe probe = histogram.probe();
-  const bool window = state.range(1) != 0 && probe.ascending;
   for (auto _ : state) {
     const double lo = rng.Uniform() * 0.9;
     benchmark::DoNotOptimize(simd::HistogramRangeCount(
-        probe.left, probe.right, probe.count, probe.centroid, probe.size,
-        window, lo, lo + 0.1));
+        probe.left, probe.right, probe.count, probe.centroid, probe.size, lo,
+        lo + 0.1));
   }
 }
-BENCHMARK(BM_StreamingHistogramProbe)
-    ->Args({40, 1})
-    ->Args({40, 0})
-    ->Args({160, 1})
-    ->Args({160, 0});
+BENCHMARK(BM_StreamingHistogramProbe)->Arg(40)->Arg(160);
 
 void BM_TransformApply(benchmark::State& state) {
   TransformConfig cfg;

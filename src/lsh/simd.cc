@@ -80,64 +80,12 @@ void ApplyBatchScalar(const double* projections, const double* shifts,
   }
 }
 
-namespace {
-
-/// First i in [0, n) with a[i] >= x, or n; `a` ascends and x is not NaN.
-/// Branchless: the probe positions depend on the query, so the branches
-/// of std::lower_bound mispredict about half the time.
-size_t LowerBound(const double* a, size_t n, double x) {
-  if (n == 0) return 0;
-  const double* base = a;
-  while (n > 1) {
-    const size_t half = n / 2;
-    base = base[half - 1] < x ? base + half : base;
-    n -= half;
-  }
-  return static_cast<size_t>(base - a) + (*base < x ? 1 : 0);
-}
-
-/// First i in [0, n) with a[i] > x, or n; `a` ascends and x is not NaN.
-size_t UpperBound(const double* a, size_t n, double x) {
-  if (n == 0) return 0;
-  const double* base = a;
-  while (n > 1) {
-    const size_t half = n / 2;
-    base = base[half - 1] <= x ? base + half : base;
-    n -= half;
-  }
-  return static_cast<size_t>(base - a) + (*base <= x ? 1 : 0);
-}
-
-}  // namespace
-
-void BucketWindow(const double* left, const double* right, size_t buckets,
-                  bool ascending, double lo, double hi, size_t* first,
-                  size_t* last) {
-  if (!ascending) {
-    *first = 0;
-    *last = buckets;
-    return;
-  }
-  // Buckets before `first` end left of lo and buckets from `last` on
-  // start right of hi: their overlap is max(0, negative) = 0 and their
-  // point masses lie outside [lo, hi], so each adds a zero. Searching for
-  // `last` from `first` keeps the window well-formed whatever hi is.
-  const size_t f = LowerBound(right, buckets, lo);
-  *first = f;
-  *last = f + UpperBound(left + f, buckets - f, hi);
-}
-
 double HistogramRangeCountScalar(const double* left, const double* right,
                                  const double* count, const double* centroid,
-                                 size_t buckets, bool ascending, double lo,
-                                 double hi) {
-  // !(lo <= hi) returns the 0.0 that a sweep with inverted or NaN bounds
-  // would sum to, and keeps NaN out of the window's binary searches.
-  if (buckets == 0 || !(lo <= hi)) return 0.0;
-  size_t first, last;
-  BucketWindow(left, right, buckets, ascending, lo, hi, &first, &last);
+                                 size_t buckets, double lo, double hi) {
+  if (buckets == 0 || lo > hi) return 0.0;
   double total = 0.0;
-  for (size_t i = first; i < last; ++i) {
+  for (size_t i = 0; i < buckets; ++i) {
     const double width = right[i] - left[i];
     if (width <= 0.0) {
       // Point mass: counted iff inside the range.
@@ -154,14 +102,12 @@ double HistogramRangeCountScalar(const double* left, const double* right,
 void HistogramRangeCountCostScalar(const double* left, const double* right,
                                    const double* count, const double* cost,
                                    const double* centroid, size_t buckets,
-                                   bool ascending, double lo, double hi,
-                                   double* count_out, double* cost_out) {
+                                   double lo, double hi, double* count_out,
+                                   double* cost_out) {
   double total_count = 0.0;
   double total_cost = 0.0;
-  if (buckets > 0 && lo <= hi) {
-    size_t first, last;
-    BucketWindow(left, right, buckets, ascending, lo, hi, &first, &last);
-    for (size_t i = first; i < last; ++i) {
+  if (buckets > 0 && !(lo > hi)) {
+    for (size_t i = 0; i < buckets; ++i) {
       const double width = right[i] - left[i];
       double frac;
       if (width <= 0.0) {
@@ -182,12 +128,11 @@ void HistogramRangeCountCostScalar(const double* left, const double* right,
 void HistogramRangeCountManyScalar(const double* left, const double* right,
                                    const double* count,
                                    const double* centroid, size_t buckets,
-                                   bool ascending, const double* bounds,
-                                   size_t queries, double* out) {
+                                   const double* bounds, size_t queries,
+                                   double* out) {
   for (size_t q = 0; q < queries; ++q) {
     out[q] = HistogramRangeCountScalar(left, right, count, centroid, buckets,
-                                       ascending, bounds[2 * q],
-                                       bounds[2 * q + 1]);
+                                       bounds[2 * q], bounds[2 * q + 1]);
   }
 }
 
@@ -196,12 +141,11 @@ void HistogramRangeCountCostManyScalar(const double* left,
                                        const double* count,
                                        const double* cost,
                                        const double* centroid, size_t buckets,
-                                       bool ascending, const double* bounds,
-                                       size_t queries, double* counts_out,
-                                       double* costs_out) {
+                                       const double* bounds, size_t queries,
+                                       double* counts_out, double* costs_out) {
   for (size_t q = 0; q < queries; ++q) {
     HistogramRangeCountCostScalar(left, right, count, cost, centroid, buckets,
-                                  ascending, bounds[2 * q], bounds[2 * q + 1],
+                                  bounds[2 * q], bounds[2 * q + 1],
                                   counts_out + q, costs_out + q);
   }
 }
@@ -273,19 +217,18 @@ __attribute__((target("avx2,fma"))) void ApplyBatchAvx2(
 
 __attribute__((target("avx2,fma"))) double HistogramRangeCountAvx2(
     const double* left, const double* right, const double* count,
-    const double* centroid, size_t buckets, bool ascending, double lo,
-    double hi) {
-  // !(lo <= hi) also catches NaN bounds, which the vector min/max lanes
-  // below would not turn into the scalar's 0.0.
+    const double* centroid, size_t buckets, double lo, double hi) {
+  // !(lo <= hi) also catches NaN bounds; the scalar path's `lo > hi` lets
+  // NaN through but every per-bucket contribution then evaluates to +0.0,
+  // so both tiers return exactly 0.0.
   if (buckets == 0 || !(lo <= hi)) return 0.0;
-  size_t i, last;
-  BucketWindow(left, right, buckets, ascending, lo, hi, &i, &last);
   const __m256d vlo = _mm256_set1_pd(lo);
   const __m256d vhi = _mm256_set1_pd(hi);
   const __m256d zero = _mm256_setzero_pd();
   double total = 0.0;
   double contrib[4];
-  for (; i + 4 <= last; i += 4) {
+  size_t i = 0;
+  for (; i + 4 <= buckets; i += 4) {
     // Four buckets per iteration. Per-lane arithmetic matches the scalar
     // expressions exactly; the only differences are sign-of-zero cases
     // (minpd/maxpd pick the second operand on equality where std::min/
@@ -314,7 +257,7 @@ __attribute__((target("avx2,fma"))) double HistogramRangeCountAvx2(
     total += contrib[2];
     total += contrib[3];
   }
-  for (; i < last; ++i) {
+  for (; i < buckets; ++i) {
     const double width = right[i] - left[i];
     if (width <= 0.0) {
       if (centroid[i] >= lo && centroid[i] <= hi) total += count[i];
@@ -329,20 +272,19 @@ __attribute__((target("avx2,fma"))) double HistogramRangeCountAvx2(
 
 __attribute__((target("avx2,fma"))) void HistogramRangeCountCostAvx2(
     const double* left, const double* right, const double* count,
-    const double* cost, const double* centroid, size_t buckets,
-    bool ascending, double lo, double hi, double* count_out,
-    double* cost_out) {
-  // !(lo <= hi) also catches NaN bounds, as in the scalar kernel. The
-  // vector min/max lanes would NOT reproduce the (0.0, 0.0) a NaN sweep
-  // sums to (minpd(NaN, r) yields r, not NaN), so the early-out must
-  // reject NaN here.
+    const double* cost, const double* centroid, size_t buckets, double lo,
+    double hi, double* count_out, double* cost_out) {
+  // !(lo <= hi) also catches NaN bounds; the scalar path's `lo > hi`
+  // guard lets NaN through, but every per-bucket frac then evaluates to
+  // +0.0 (NaN comparisons are false, max(0.0, NaN) picks 0.0), so both
+  // tiers produce exactly (0.0, 0.0). The vector min/max lanes would NOT
+  // reproduce that — minpd(NaN, r) yields r, not NaN — so the early-out
+  // must reject NaN here.
   if (buckets == 0 || !(lo <= hi)) {
     *count_out = 0.0;
     *cost_out = 0.0;
     return;
   }
-  size_t i, last;
-  BucketWindow(left, right, buckets, ascending, lo, hi, &i, &last);
   const __m256d vlo = _mm256_set1_pd(lo);
   const __m256d vhi = _mm256_set1_pd(hi);
   const __m256d zero = _mm256_setzero_pd();
@@ -351,7 +293,8 @@ __attribute__((target("avx2,fma"))) void HistogramRangeCountCostAvx2(
   double total_cost = 0.0;
   double count_contrib[4];
   double cost_contrib[4];
-  for (; i + 4 <= last; i += 4) {
+  size_t i = 0;
+  for (; i + 4 <= buckets; i += 4) {
     // Four buckets per iteration; each lane computes the scalar frac
     // expression exactly. As in HistogramRangeCountAvx2, minpd/maxpd
     // disagree with std::min/std::max only on the sign of zero, and a
@@ -387,7 +330,7 @@ __attribute__((target("avx2,fma"))) void HistogramRangeCountCostAvx2(
     total_count += count_contrib[3];
     total_cost += cost_contrib[3];
   }
-  for (; i < last; ++i) {
+  for (; i < buckets; ++i) {
     const double width = right[i] - left[i];
     double frac;
     if (width <= 0.0) {
@@ -406,8 +349,8 @@ __attribute__((target("avx2,fma"))) void HistogramRangeCountCostAvx2(
 
 __attribute__((target("avx2,fma"))) void HistogramRangeCountManyAvx2(
     const double* left, const double* right, const double* count,
-    const double* centroid, size_t buckets, bool ascending,
-    const double* bounds, size_t queries, double* out) {
+    const double* centroid, size_t buckets, const double* bounds,
+    size_t queries, double* out) {
   const __m256d zero = _mm256_setzero_pd();
   size_t q = 0;
   for (; q + 4 <= queries; q += 4) {
@@ -453,15 +396,14 @@ __attribute__((target("avx2,fma"))) void HistogramRangeCountManyAvx2(
   }
   if (q < queries) {
     HistogramRangeCountManyScalar(left, right, count, centroid, buckets,
-                                  ascending, bounds + 2 * q, queries - q,
-                                  out + q);
+                                  bounds + 2 * q, queries - q, out + q);
   }
 }
 
 __attribute__((target("avx2,fma"))) void HistogramRangeCountCostManyAvx2(
     const double* left, const double* right, const double* count,
     const double* cost, const double* centroid, size_t buckets,
-    bool ascending, const double* bounds, size_t queries, double* counts_out,
+    const double* bounds, size_t queries, double* counts_out,
     double* costs_out) {
   const __m256d zero = _mm256_setzero_pd();
   size_t q = 0;
@@ -503,9 +445,8 @@ __attribute__((target("avx2,fma"))) void HistogramRangeCountCostManyAvx2(
   }
   if (q < queries) {
     HistogramRangeCountCostManyScalar(left, right, count, cost, centroid,
-                                      buckets, ascending, bounds + 2 * q,
-                                      queries - q, counts_out + q,
-                                      costs_out + q);
+                                      buckets, bounds + 2 * q, queries - q,
+                                      counts_out + q, costs_out + q);
   }
 }
 
@@ -558,39 +499,36 @@ void ApplyBatchAvx2(const double* projections, const double* shifts,
 
 double HistogramRangeCountAvx2(const double* left, const double* right,
                                const double* count, const double* centroid,
-                               size_t buckets, bool ascending, double lo,
-                               double hi) {
-  return HistogramRangeCountScalar(left, right, count, centroid, buckets,
-                                   ascending, lo, hi);
+                               size_t buckets, double lo, double hi) {
+  return HistogramRangeCountScalar(left, right, count, centroid, buckets, lo,
+                                   hi);
 }
 
 void HistogramRangeCountCostAvx2(const double* left, const double* right,
                                  const double* count, const double* cost,
                                  const double* centroid, size_t buckets,
-                                 bool ascending, double lo, double hi,
-                                 double* count_out, double* cost_out) {
+                                 double lo, double hi, double* count_out,
+                                 double* cost_out) {
   HistogramRangeCountCostScalar(left, right, count, cost, centroid, buckets,
-                                ascending, lo, hi, count_out, cost_out);
+                                lo, hi, count_out, cost_out);
 }
 
 void HistogramRangeCountManyAvx2(const double* left, const double* right,
                                  const double* count, const double* centroid,
-                                 size_t buckets, bool ascending,
-                                 const double* bounds, size_t queries,
-                                 double* out) {
+                                 size_t buckets, const double* bounds,
+                                 size_t queries, double* out) {
   HistogramRangeCountManyScalar(left, right, count, centroid, buckets,
-                                ascending, bounds, queries, out);
+                                bounds, queries, out);
 }
 
 void HistogramRangeCountCostManyAvx2(const double* left, const double* right,
                                      const double* count, const double* cost,
                                      const double* centroid, size_t buckets,
-                                     bool ascending, const double* bounds,
-                                     size_t queries, double* counts_out,
-                                     double* costs_out) {
+                                     const double* bounds, size_t queries,
+                                     double* counts_out, double* costs_out) {
   HistogramRangeCountCostManyScalar(left, right, count, cost, centroid,
-                                    buckets, ascending, bounds, queries,
-                                    counts_out, costs_out);
+                                    buckets, bounds, queries, counts_out,
+                                    costs_out);
 }
 
 void CellIndexBatchAvx2(const double* y, size_t n, double grid_lo,
@@ -628,58 +566,55 @@ void ApplyBatch(const double* projections, const double* shifts, double scale,
 
 double HistogramRangeCount(const double* left, const double* right,
                            const double* count, const double* centroid,
-                           size_t buckets, bool ascending, double lo,
-                           double hi) {
+                           size_t buckets, double lo, double hi) {
   if (ActiveTier() == Tier::kAvx2) {
-    return HistogramRangeCountAvx2(left, right, count, centroid, buckets,
-                                   ascending, lo, hi);
+    return HistogramRangeCountAvx2(left, right, count, centroid, buckets, lo,
+                                   hi);
   }
-  return HistogramRangeCountScalar(left, right, count, centroid, buckets,
-                                   ascending, lo, hi);
+  return HistogramRangeCountScalar(left, right, count, centroid, buckets, lo,
+                                   hi);
 }
 
 void HistogramRangeCountCost(const double* left, const double* right,
                              const double* count, const double* cost,
                              const double* centroid, size_t buckets,
-                             bool ascending, double lo, double hi,
-                             double* count_out, double* cost_out) {
+                             double lo, double hi, double* count_out,
+                             double* cost_out) {
   if (ActiveTier() == Tier::kAvx2) {
     HistogramRangeCountCostAvx2(left, right, count, cost, centroid, buckets,
-                                ascending, lo, hi, count_out, cost_out);
+                                lo, hi, count_out, cost_out);
   } else {
     HistogramRangeCountCostScalar(left, right, count, cost, centroid, buckets,
-                                  ascending, lo, hi, count_out, cost_out);
+                                  lo, hi, count_out, cost_out);
   }
 }
 
 void HistogramRangeCountMany(const double* left, const double* right,
                              const double* count, const double* centroid,
-                             size_t buckets, bool ascending,
-                             const double* bounds, size_t queries,
-                             double* out) {
+                             size_t buckets, const double* bounds,
+                             size_t queries, double* out) {
   if (ActiveTier() == Tier::kAvx2) {
     HistogramRangeCountManyAvx2(left, right, count, centroid, buckets,
-                                ascending, bounds, queries, out);
+                                bounds, queries, out);
   } else {
     HistogramRangeCountManyScalar(left, right, count, centroid, buckets,
-                                  ascending, bounds, queries, out);
+                                  bounds, queries, out);
   }
 }
 
 void HistogramRangeCountCostMany(const double* left, const double* right,
                                  const double* count, const double* cost,
                                  const double* centroid, size_t buckets,
-                                 bool ascending, const double* bounds,
-                                 size_t queries, double* counts_out,
-                                 double* costs_out) {
+                                 const double* bounds, size_t queries,
+                                 double* counts_out, double* costs_out) {
   if (ActiveTier() == Tier::kAvx2) {
     HistogramRangeCountCostManyAvx2(left, right, count, cost, centroid,
-                                    buckets, ascending, bounds, queries,
-                                    counts_out, costs_out);
+                                    buckets, bounds, queries, counts_out,
+                                    costs_out);
   } else {
     HistogramRangeCountCostManyScalar(left, right, count, cost, centroid,
-                                      buckets, ascending, bounds, queries,
-                                      counts_out, costs_out);
+                                      buckets, bounds, queries, counts_out,
+                                      costs_out);
   }
 }
 

@@ -65,42 +65,21 @@ void ApplyBatchAvx2(const double* projections, const double* shifts,
                     double scale, size_t input_dims, size_t output_dims,
                     const double* points, size_t count, double* out);
 
-/// The buckets [*first, *last) a range [lo, hi] (lo <= hi, neither NaN)
-/// can touch: with `ascending`, the first bucket whose right >= lo, then
-/// the first after it whose left > hi, each by binary search; without,
-/// all of [0, buckets).
-///
-/// `ascending` promises the window's precondition: `left` and `right` are
-/// non-decreasing, each zero-width bucket (a point mass) has its centroid
-/// on its extent, and counts and costs are finite. Then every bucket
-/// outside the window contributes exactly +0.0 or -0.0 to the range
-/// kernels' non-negative sums, so summing the window alone gives the full
-/// scan's result bit for bit. StreamingHistogram::Probe::ascending says
-/// whether a histogram's table meets it.
-void BucketWindow(const double* left, const double* right, size_t buckets,
-                  bool ascending, double lo, double hi, size_t* first,
-                  size_t* last);
-
 /// The histogram range-count probe kernel behind grouped batch counting:
 /// StreamingHistogram::EstimateCount(lo, hi) recomputed from flat probe
 /// arrays (see StreamingHistogram::ExportProbe) instead of the bucket
 /// structs, summing per-bucket contributions in bucket order. `left`,
-/// `right`, `count`, `centroid` each hold `buckets` entries. With
-/// `ascending` (see BucketWindow) only the window is summed; the result
-/// equals the full scan bit for bit either way.
+/// `right`, `count`, `centroid` each hold `buckets` entries.
 double HistogramRangeCount(const double* left, const double* right,
                            const double* count, const double* centroid,
-                           size_t buckets, bool ascending, double lo,
-                           double hi);
+                           size_t buckets, double lo, double hi);
 double HistogramRangeCountScalar(const double* left, const double* right,
                                  const double* count, const double* centroid,
-                                 size_t buckets, bool ascending, double lo,
-                                 double hi);
+                                 size_t buckets, double lo, double hi);
 /// Requires CpuSupportsAvx2(); exposed for side-by-side identity tests.
 double HistogramRangeCountAvx2(const double* left, const double* right,
                                const double* count, const double* centroid,
-                               size_t buckets, bool ascending, double lo,
-                               double hi);
+                               size_t buckets, double lo, double hi);
 
 /// The combined count + cost probe kernel behind the batched cost pass:
 /// StreamingHistogram::EstimateCount(lo, hi) and the cost-sum side of
@@ -113,23 +92,22 @@ double HistogramRangeCountAvx2(const double* left, const double* right,
 /// bit-identical to EstimateCount (x*1.0 is exact; the out-of-range
 /// x*0.0 = +0.0 terms the frac form adds cannot change a non-negative
 /// sum) and cost_out/count_out is bit-identical to EstimateAverageCost.
-/// `ascending` windows the sweep as in HistogramRangeCount.
 void HistogramRangeCountCost(const double* left, const double* right,
                              const double* count, const double* cost,
                              const double* centroid, size_t buckets,
-                             bool ascending, double lo, double hi,
-                             double* count_out, double* cost_out);
+                             double lo, double hi, double* count_out,
+                             double* cost_out);
 void HistogramRangeCountCostScalar(const double* left, const double* right,
                                    const double* count, const double* cost,
                                    const double* centroid, size_t buckets,
-                                   bool ascending, double lo, double hi,
-                                   double* count_out, double* cost_out);
+                                   double lo, double hi, double* count_out,
+                                   double* cost_out);
 /// Requires CpuSupportsAvx2(); exposed for side-by-side identity tests.
 void HistogramRangeCountCostAvx2(const double* left, const double* right,
                                  const double* count, const double* cost,
                                  const double* centroid, size_t buckets,
-                                 bool ascending, double lo, double hi,
-                                 double* count_out, double* cost_out);
+                                 double lo, double hi, double* count_out,
+                                 double* cost_out);
 
 /// Many-query variant of HistogramRangeCount for the serving batch path:
 /// `bounds` holds `queries` (lo, hi) pairs (bounds[2q], bounds[2q + 1] —
@@ -139,26 +117,20 @@ void HistogramRangeCountCostAvx2(const double* left, const double* right,
 /// sequentially with broadcast probe values — so every lane runs the
 /// exact scalar accumulation sequence and bit-identity is structural.
 /// Lanes with inverted or NaN bounds are masked to the scalar's 0.0.
-/// The lanes always sweep every bucket: giving each 4-lane group the union
-/// of its lanes' windows measured slower on served batches. The queries
-/// past the last full group, and the scalar tier, run the single-query
-/// kernel, which `ascending` windows.
 void HistogramRangeCountMany(const double* left, const double* right,
                              const double* count, const double* centroid,
-                             size_t buckets, bool ascending,
-                             const double* bounds, size_t queries,
-                             double* out);
+                             size_t buckets, const double* bounds,
+                             size_t queries, double* out);
 void HistogramRangeCountManyScalar(const double* left, const double* right,
                                    const double* count,
                                    const double* centroid, size_t buckets,
-                                   bool ascending, const double* bounds,
-                                   size_t queries, double* out);
+                                   const double* bounds, size_t queries,
+                                   double* out);
 /// Requires CpuSupportsAvx2(); exposed for side-by-side identity tests.
 void HistogramRangeCountManyAvx2(const double* left, const double* right,
                                  const double* count, const double* centroid,
-                                 size_t buckets, bool ascending,
-                                 const double* bounds, size_t queries,
-                                 double* out);
+                                 size_t buckets, const double* bounds,
+                                 size_t queries, double* out);
 
 /// Elementwise grid-cell bucketing behind
 /// RandomizedTransform::LinearizedPositionBatch:
@@ -183,29 +155,25 @@ void CellIndexBatchAvx2(const double* y, size_t n, double grid_lo,
 /// `queries` (lo, hi) pairs and query q's count-sum and cost-sum land in
 /// counts_out[q] / costs_out[q]. Vectorized across queries like
 /// HistogramRangeCountMany, with the same per-lane bit-identity to the
-/// single-query scalar kernel and the same full-width lanes and windowed
-/// tail.
+/// single-query scalar kernel.
 void HistogramRangeCountCostMany(const double* left, const double* right,
                                  const double* count, const double* cost,
                                  const double* centroid, size_t buckets,
-                                 bool ascending, const double* bounds,
-                                 size_t queries, double* counts_out,
-                                 double* costs_out);
+                                 const double* bounds, size_t queries,
+                                 double* counts_out, double* costs_out);
 void HistogramRangeCountCostManyScalar(const double* left,
                                        const double* right,
                                        const double* count,
                                        const double* cost,
                                        const double* centroid, size_t buckets,
-                                       bool ascending, const double* bounds,
-                                       size_t queries, double* counts_out,
-                                       double* costs_out);
+                                       const double* bounds, size_t queries,
+                                       double* counts_out, double* costs_out);
 /// Requires CpuSupportsAvx2(); exposed for side-by-side identity tests.
 void HistogramRangeCountCostManyAvx2(const double* left, const double* right,
                                      const double* count, const double* cost,
                                      const double* centroid, size_t buckets,
-                                     bool ascending, const double* bounds,
-                                     size_t queries, double* counts_out,
-                                     double* costs_out);
+                                     const double* bounds, size_t queries,
+                                     double* counts_out, double* costs_out);
 
 /// True iff the CPU supports the BMI2 pdep Morton-interleave fast path.
 bool CpuSupportsBmi2();

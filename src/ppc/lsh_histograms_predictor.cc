@@ -210,6 +210,10 @@ LshHistogramsPredictor& LshHistogramsPredictor::operator=(
 }
 
 void LshHistogramsPredictor::Insert(const LabeledPoint& point) {
+  // A histogram holding a non-finite cost sum could not be restored from
+  // its snapshot (StreamingHistogram::Deserialize rejects it), so such a
+  // point is dropped here, where points enter.
+  if (!std::isfinite(point.cost)) return;
   std::unique_lock<std::shared_mutex> lock(mu_);
   auto it = synopses_.find(point.plan);
   if (it == synopses_.end()) {

@@ -124,6 +124,8 @@ class LshHistogramsPredictor : public PlanPredictor {
   void PredictBatchInto(const double* points, size_t count,
                         Prediction* out) const;
 
+  /// Adds `point` to its plan's synopsis. A point whose cost is not
+  /// finite is dropped: every snapshot must restore.
   void Insert(const LabeledPoint& point) override;
   uint64_t SpaceBytes() const override;
   std::string Name() const override { return "APPROXIMATE-LSH-HISTOGRAMS"; }

@@ -76,7 +76,6 @@ void PlanSynopsis::BatchTransformCounts(const FlatQueryRanges& ranges,
       static_assert(sizeof(ZInterval) == 2 * sizeof(double));
       simd::HistogramRangeCountMany(
           probe.left, probe.right, probe.count, probe.centroid, probe.size,
-          probe.ascending,
           reinterpret_cast<const double*>(ranges.intervals +
                                           i * ranges.point_count),
           ranges.point_count, row);
@@ -86,9 +85,10 @@ void PlanSynopsis::BatchTransformCounts(const FlatQueryRanges& ranges,
       double total = 0.0;
       const auto [begin, end] = ranges.Slice(i, p);
       for (const ZInterval* interval = begin; interval != end; ++interval) {
-        total += simd::HistogramRangeCount(
-            probe.left, probe.right, probe.count, probe.centroid, probe.size,
-            probe.ascending, interval->lo, interval->hi);
+        total += simd::HistogramRangeCount(probe.left, probe.right,
+                                           probe.count, probe.centroid,
+                                           probe.size, interval->lo,
+                                           interval->hi);
       }
       row[p] = total;
     }
@@ -109,8 +109,7 @@ double PlanSynopsis::MedianAverageCostFromProbes(const FlatQueryRanges& ranges,
       double c, cost;
       simd::HistogramRangeCountCost(probe.left, probe.right, probe.count,
                                     probe.cost, probe.centroid, probe.size,
-                                    probe.ascending, interval->lo,
-                                    interval->hi, &c, &cost);
+                                    interval->lo, interval->hi, &c, &cost);
       if (c <= 0.0) continue;
       count += c;
       // c * (cost / c), not cost: the scalar oracle computes
@@ -143,8 +142,7 @@ void PlanSynopsis::BatchAverageCostsFromProbes(
     const StreamingHistogram::Probe probe = histograms_[i].probe();
     simd::HistogramRangeCountCostMany(
         probe.left, probe.right, probe.count, probe.cost, probe.centroid,
-        probe.size, probe.ascending, bounds_ws, n, counts_ws + i * n,
-        costs_ws + i * n);
+        probe.size, bounds_ws, n, counts_ws + i * n, costs_ws + i * n);
   }
   for (size_t k = 0; k < n; ++k) {
     // Same per-transform accumulation as MedianAverageCostFromProbes,

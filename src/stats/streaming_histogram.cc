@@ -25,38 +25,13 @@ void StreamingHistogram::Insert(double position, double cost) {
   if (it != buckets_.end() && it->centroid == position) {
     it->count += 1.0;
     it->cost_sum += cost;
-    CheckWindowPrecondition(static_cast<size_t>(it - buckets_.begin()));
   } else {
-    it = buckets_.insert(it, Bucket{position, 1.0, cost});
-    CheckWindowPrecondition(static_cast<size_t>(it - buckets_.begin()));
+    buckets_.insert(it, Bucket{position, 1.0, cost});
     if (buckets_.size() > max_buckets_) {
-      const size_t merged = PickMergeIndex();
-      MergeAt(merged);
-      CheckWindowPrecondition(merged);
+      MergeAt(PickMergeIndex());
     }
   }
   RebuildProbe();
-}
-
-void StreamingHistogram::CheckWindowPrecondition(size_t i) {
-  // Buckets sorted by centroid within [0, 1], with finite sums, give a
-  // probe table that meets the bucket window's precondition
-  // (simd::BucketWindow): each extent edge is a midpoint of neighbouring
-  // centroids or a clamped mirror, and rounding is monotone, so the edges
-  // ascend with the centroids and every bucket, point masses included,
-  // spans its own centroid. A mutation can break that only at the bucket
-  // it touched, so checking that bucket keeps the flag exact without an
-  // O(b_h) pass. A merged centroid that rounded past its neighbour, or a
-  // non-finite cost, clears the flag until Clear: the table then takes
-  // the full scan.
-  const Bucket& bucket = buckets_[i];
-  const double previous = i == 0 ? 0.0 : buckets_[i - 1].centroid;
-  const double next = i + 1 == buckets_.size() ? 1.0 : buckets_[i + 1].centroid;
-  // x * 0.0 is 0.0 exactly when x is finite; & rather than && keeps the
-  // check free of branches on the Insert path.
-  probe_ascending_ &= (previous <= bucket.centroid) &
-                      (bucket.centroid <= next) &
-                      (bucket.count * 0.0 + bucket.cost_sum * 0.0 == 0.0);
 }
 
 size_t StreamingHistogram::PickMergeIndex() const {
@@ -152,8 +127,7 @@ void StreamingHistogram::RebuildProbe() {
 StreamingHistogram::Probe StreamingHistogram::probe() const {
   const size_t b = buckets_.size();
   const double* base = probe_.data();
-  return Probe{base,         base + b, base + 2 * b,     base + 3 * b,
-               base + 4 * b, b,        probe_ascending_};
+  return Probe{base, base + b, base + 2 * b, base + 3 * b, base + 4 * b, b};
 }
 
 double StreamingHistogram::EstimateCount(double lo, double hi) const {
@@ -204,7 +178,6 @@ void StreamingHistogram::Clear() {
   buckets_.clear();
   total_count_ = 0;
   probe_.clear();
-  probe_ascending_ = true;
 }
 
 void StreamingHistogram::SerializeTo(ByteWriter* writer) const {
@@ -244,10 +217,10 @@ Result<StreamingHistogram> StreamingHistogram::Deserialize(
     PPC_ASSIGN_OR_RETURN(bucket.centroid, reader->GetDouble());
     PPC_ASSIGN_OR_RETURN(bucket.count, reader->GetDouble());
     PPC_ASSIGN_OR_RETURN(bucket.cost_sum, reader->GetDouble());
-    // Insert keeps centroids ascending within [0, 1]; a snapshot, which
-    // may come from a peer, must hold the same, with finite non-negative
-    // counts and finite cost sums, or the probe table loses its bucket
-    // window. Written as acceptance tests so that a NaN fails them.
+    // Insert keeps centroids ascending within [0, 1] with finite
+    // non-negative counts, and LshHistogramsPredictor::Insert drops
+    // non-finite costs; a snapshot, which may come from a peer, must hold
+    // the same. Written as acceptance tests so that a NaN fails them.
     const bool centroid_ok =
         bucket.centroid >= prev_centroid && bucket.centroid <= 1.0;
     const bool sums_ok = bucket.count >= 0.0 &&

@@ -39,6 +39,8 @@ class StreamingHistogram {
       MergePolicy policy = MergePolicy::kMinVarianceIncrease);
 
   /// Inserts one observation at `position` with execution cost `cost`.
+  /// A non-finite `cost` leaves a cost sum that Deserialize rejects, so
+  /// LshHistogramsPredictor::Insert drops such points before they get here.
   void Insert(double position, double cost);
 
   /// Estimated number of observations with position in [lo, hi], with linear
@@ -62,11 +64,7 @@ class StreamingHistogram {
   /// The ExportProbe + ExportProbeCosts table, kept current by every
   /// mutation (Insert, Clear, Deserialize) so readers probe it without
   /// recomputing a single bucket extent. Each array holds `size` =
-  /// bucket_count() entries; valid until the next mutation. `ascending`
-  /// says the table meets simd::BucketWindow's precondition, so the range
-  /// kernels may sum only the buckets a query can touch. It turns false,
-  /// and they scan every bucket, once a merged centroid rounds out of
-  /// order or a sum turns non-finite, until Clear.
+  /// bucket_count() entries; valid until the next mutation.
   struct Probe {
     const double* left;
     const double* right;
@@ -74,7 +72,6 @@ class StreamingHistogram {
     const double* cost;
     const double* centroid;
     size_t size;
-    bool ascending;
   };
   Probe probe() const;
 
@@ -122,9 +119,6 @@ class StreamingHistogram {
   void BucketExtent(size_t i, double* left, double* right) const;
   /// Recomputes probe_ from buckets_; every mutation ends with it.
   void RebuildProbe();
-  /// Clears probe_ascending_ if bucket i, just changed, is out of centroid
-  /// order, outside [0, 1] or holds a non-finite sum.
-  void CheckWindowPrecondition(size_t i);
 
   size_t max_buckets_;
   MergePolicy policy_;
@@ -132,9 +126,6 @@ class StreamingHistogram {
   size_t total_count_ = 0;
   /// [left | right | count | cost | centroid], bucket_count() each.
   std::vector<double> probe_;
-  /// Probe::ascending. Deserialize admits only tables that meet it and
-  /// Clear restores it; Insert keeps it by CheckWindowPrecondition.
-  bool probe_ascending_ = true;
 };
 
 }  // namespace ppc

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,7 +13,6 @@
 #include "lsh/zorder.h"
 #include "ppc/lsh_histograms_predictor.h"
 #include "stats/streaming_histogram.h"
-#include "test_util.h"
 
 namespace ppc {
 namespace simd {
@@ -152,11 +150,11 @@ TEST(SimdKernelTest, HistogramRangeCountTiersBitIdentical) {
       const double scalar =
           HistogramRangeCountScalar(t.left.data(), t.right.data(),
                                     t.count.data(), t.centroid.data(),
-                                    t.size(), false, lo, hi);
+                                    t.size(), lo, hi);
       const double avx2 =
           HistogramRangeCountAvx2(t.left.data(), t.right.data(),
                                   t.count.data(), t.centroid.data(),
-                                  t.size(), false, lo, hi);
+                                  t.size(), lo, hi);
       uint64_t sbits, abits;
       std::memcpy(&sbits, &scalar, sizeof(sbits));
       std::memcpy(&abits, &avx2, sizeof(abits));
@@ -175,11 +173,11 @@ TEST(SimdKernelTest, HistogramRangeCountTiersAgreeOnNaNBounds) {
            {nan, 0.5}, {0.1, nan}, {nan, nan}}) {
     EXPECT_EQ(HistogramRangeCountScalar(t.left.data(), t.right.data(),
                                         t.count.data(), t.centroid.data(),
-                                        t.size(), false, lo, hi),
+                                        t.size(), lo, hi),
               0.0);
     EXPECT_EQ(HistogramRangeCountAvx2(t.left.data(), t.right.data(),
                                       t.count.data(), t.centroid.data(),
-                                      t.size(), false, lo, hi),
+                                      t.size(), lo, hi),
               0.0);
   }
 }
@@ -198,12 +196,12 @@ TEST(SimdKernelTest, HistogramRangeCountCostTiersBitIdentical) {
       double sc, scost, ac, acost;
       HistogramRangeCountCostScalar(t.left.data(), t.right.data(),
                                     t.count.data(), cost.data(),
-                                    t.centroid.data(), t.size(), false, lo, hi,
-                                    &sc, &scost);
+                                    t.centroid.data(), t.size(), lo, hi, &sc,
+                                    &scost);
       HistogramRangeCountCostAvx2(t.left.data(), t.right.data(),
                                   t.count.data(), cost.data(),
-                                  t.centroid.data(), t.size(), false, lo, hi,
-                                  &ac, &acost);
+                                  t.centroid.data(), t.size(), lo, hi, &ac,
+                                  &acost);
       uint64_t a, b;
       std::memcpy(&a, &sc, sizeof(a));
       std::memcpy(&b, &ac, sizeof(b));
@@ -228,11 +226,11 @@ TEST(SimdKernelTest, HistogramRangeCountCostTiersAgreeOnNaNBounds) {
     double sc, scost, ac, acost;
     HistogramRangeCountCostScalar(t.left.data(), t.right.data(),
                                   t.count.data(), cost.data(),
-                                  t.centroid.data(), t.size(), false, lo, hi,
-                                  &sc, &scost);
+                                  t.centroid.data(), t.size(), lo, hi, &sc,
+                                  &scost);
     HistogramRangeCountCostAvx2(t.left.data(), t.right.data(), t.count.data(),
-                                cost.data(), t.centroid.data(), t.size(),
-                                false, lo, hi, &ac, &acost);
+                                cost.data(), t.centroid.data(), t.size(), lo,
+                                hi, &ac, &acost);
     EXPECT_EQ(sc, 0.0);
     EXPECT_EQ(scost, 0.0);
     EXPECT_EQ(ac, 0.0);
@@ -266,13 +264,12 @@ TEST(SimdKernelTest, CostKernelReproducesHistogramEstimates) {
         HistogramRangeCountCostScalar(probe.data(), probe.data() + b,
                                       probe.data() + 2 * b,
                                       probe.data() + 3 * b,
-                                      probe.data() + 4 * b, b, false, lo, hi,
-                                      &c, &cost);
+                                      probe.data() + 4 * b, b, lo, hi, &c,
+                                      &cost);
       } else {
         HistogramRangeCountCost(probe.data(), probe.data() + b,
                                 probe.data() + 2 * b, probe.data() + 3 * b,
-                                probe.data() + 4 * b, b, false, lo, hi, &c,
-                                &cost);
+                                probe.data() + 4 * b, b, lo, hi, &c, &cost);
       }
       EXPECT_EQ(oracle_count, c);
       EXPECT_EQ(oracle_avg, c > 0.0 ? cost / c : 0.0);
@@ -307,11 +304,11 @@ TEST(SimdKernelTest, HistogramRangeCountManyTiersBitIdentical) {
       std::vector<double> scalar(queries, -1.0), avx2(queries, -2.0);
       HistogramRangeCountManyScalar(t.left.data(), t.right.data(),
                                     t.count.data(), t.centroid.data(),
-                                    t.size(), false, bounds.data(), queries,
+                                    t.size(), bounds.data(), queries,
                                     scalar.data());
       HistogramRangeCountManyAvx2(t.left.data(), t.right.data(),
                                   t.count.data(), t.centroid.data(), t.size(),
-                                  false, bounds.data(), queries, avx2.data());
+                                  bounds.data(), queries, avx2.data());
       ASSERT_EQ(std::memcmp(scalar.data(), avx2.data(),
                             queries * sizeof(double)),
                 0)
@@ -322,7 +319,7 @@ TEST(SimdKernelTest, HistogramRangeCountManyTiersBitIdentical) {
         EXPECT_EQ(scalar[q],
                   HistogramRangeCountScalar(
                       t.left.data(), t.right.data(), t.count.data(),
-                      t.centroid.data(), t.size(), false, bounds[2 * q],
+                      t.centroid.data(), t.size(), bounds[2 * q],
                       bounds[2 * q + 1]));
       }
     }
@@ -342,12 +339,12 @@ TEST(SimdKernelTest, HistogramRangeCountCostManyTiersBitIdentical) {
           acost(queries);
       HistogramRangeCountCostManyScalar(
           t.left.data(), t.right.data(), t.count.data(), cost.data(),
-          t.centroid.data(), t.size(), false, bounds.data(), queries,
-          sc.data(), scost.data());
+          t.centroid.data(), t.size(), bounds.data(), queries, sc.data(),
+          scost.data());
       HistogramRangeCountCostManyAvx2(
           t.left.data(), t.right.data(), t.count.data(), cost.data(),
-          t.centroid.data(), t.size(), false, bounds.data(), queries,
-          ac.data(), acost.data());
+          t.centroid.data(), t.size(), bounds.data(), queries, ac.data(),
+          acost.data());
       ASSERT_EQ(std::memcmp(sc.data(), ac.data(), queries * sizeof(double)),
                 0)
           << "counts: buckets=" << buckets << " queries=" << queries;
@@ -428,263 +425,12 @@ TEST(SimdKernelTest, KernelReproducesStreamingHistogramEstimateCount) {
     const double oracle = hist.EstimateCount(lo, hi);
     const double scalar = HistogramRangeCountScalar(
         probe.data(), probe.data() + b, probe.data() + 2 * b,
-        probe.data() + 3 * b, b, false, lo, hi);
+        probe.data() + 3 * b, b, lo, hi);
     const double dispatched = HistogramRangeCount(
         probe.data(), probe.data() + b, probe.data() + 2 * b,
-        probe.data() + 3 * b, b, false, lo, hi);
+        probe.data() + 3 * b, b, lo, hi);
     EXPECT_EQ(oracle, scalar);
     EXPECT_EQ(oracle, dispatched);
-  }
-}
-
-uint64_t Bits(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-/// Real histograms for the bucket-window tests, under every merge policy:
-/// a lone bucket and a duplicated position (both point masses), and
-/// budgets of 2, 8 and 40 buckets fed clustered and uniform positions,
-/// repeated positions and the domain's two ends, so merges produce
-/// merged and near-duplicate centroids.
-std::vector<StreamingHistogram> WindowTestHistograms() {
-  std::vector<StreamingHistogram> out;
-  Rng rng(1234);
-  for (const StreamingHistogram::MergePolicy policy :
-       {StreamingHistogram::MergePolicy::kMinVarianceIncrease,
-        StreamingHistogram::MergePolicy::kNearestCentroid,
-        StreamingHistogram::MergePolicy::kEquiWidth}) {
-    StreamingHistogram single(8, policy);
-    single.Insert(0.4, 3.0);
-    out.push_back(single);
-    StreamingHistogram duplicate(8, policy);
-    for (int i = 0; i < 5; ++i) duplicate.Insert(0.7, 2.0 + i);
-    out.push_back(duplicate);
-    for (const size_t budget : {2u, 8u, 40u}) {
-      StreamingHistogram h(budget, policy);
-      for (int i = 0; i < 600; ++i) {
-        const double position = i % 5 == 0    ? 0.3
-                                : i % 17 == 0 ? 0.0
-                                : i % 19 == 0 ? 1.0
-                                : i % 2 == 0  ? rng.Gaussian(0.6, 0.03)
-                                              : rng.Uniform();
-        h.Insert(position, rng.Uniform(1.0, 100.0));
-      }
-      out.push_back(h);
-    }
-  }
-  return out;
-}
-
-/// Ranges that start or end exactly on every bucket edge and centroid,
-/// or one ulp beside an edge, plus random ranges and the edge cases:
-/// lo == hi, ranges wholly left or right of [0, 1], inverted, infinite
-/// and NaN bounds.
-std::vector<std::pair<double, double>> WindowTestQueries(
-    const StreamingHistogram::Probe& probe, Rng* rng) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  std::vector<std::pair<double, double>> queries = {
-      {-0.5, -0.1}, {1.1, 1.5},  {0.6, 0.4},  {nan, 0.5}, {0.5, nan},
-      {nan, nan},   {-inf, inf}, {0.0, 1.0},  {0.0, 0.0}, {1.0, 1.0},
-      {-inf, 0.0},  {1.0, inf},  {inf, -inf},
-  };
-  for (size_t i = 0; i < probe.size; ++i) {
-    for (const double edge : {probe.left[i], probe.right[i],
-                              probe.centroid[i]}) {
-      queries.push_back({edge, edge});
-      queries.push_back({edge, edge + 0.05});
-      queries.push_back({edge - 0.05, edge});
-      queries.push_back({std::nextafter(edge, inf), 1.0});
-      queries.push_back({0.0, std::nextafter(edge, -inf)});
-    }
-  }
-  for (int q = 0; q < 50; ++q) {
-    const double lo = rng->Uniform(-0.1, 1.1);
-    queries.push_back({lo, lo + rng->Uniform(0.0, 0.3)});
-  }
-  return queries;
-}
-
-TEST(SimdKernelTest, WindowedKernelsEqualFullScanOnBothTiers) {
-  // The bucket window may skip only buckets that add a zero, so on every
-  // histogram's probe table each windowed kernel, on either tier, must
-  // equal the scalar full scan bit for bit, and the full scan must equal
-  // the EstimateCount / EstimateAverageCost oracles.
-  const bool avx2 = CpuSupportsAvx2();
-  Rng rng(4321);
-  for (const StreamingHistogram& h : WindowTestHistograms()) {
-    const StreamingHistogram::Probe p = h.probe();
-    ASSERT_TRUE(p.ascending) << h.DebugString();
-    ASSERT_TRUE(testutil::ProbeMeetsWindowPrecondition(
-        p.left, p.right, p.count, p.cost, p.centroid, p.size));
-    const std::vector<std::pair<double, double>> queries =
-        WindowTestQueries(p, &rng);
-    std::vector<double> bounds;
-    for (const auto& [lo, hi] : queries) {
-      const double full = HistogramRangeCountScalar(
-          p.left, p.right, p.count, p.centroid, p.size, false, lo, hi);
-      double full_c, full_cost;
-      HistogramRangeCountCostScalar(p.left, p.right, p.count, p.cost,
-                                    p.centroid, p.size, false, lo, hi,
-                                    &full_c, &full_cost);
-      if (!std::isnan(lo) && !std::isnan(hi)) {
-        EXPECT_EQ(full, h.EstimateCount(lo, hi));
-        EXPECT_EQ(h.EstimateAverageCost(lo, hi),
-                  full_c > 0.0 ? full_cost / full_c : 0.0);
-      }
-      const std::string where = h.DebugString() + " lo=" +
-                                std::to_string(lo) + " hi=" +
-                                std::to_string(hi);
-      EXPECT_EQ(Bits(full), Bits(HistogramRangeCountScalar(
-                                p.left, p.right, p.count, p.centroid, p.size,
-                                true, lo, hi)))
-          << where;
-      double c, cost;
-      HistogramRangeCountCostScalar(p.left, p.right, p.count, p.cost,
-                                    p.centroid, p.size, true, lo, hi, &c,
-                                    &cost);
-      EXPECT_EQ(Bits(full_c), Bits(c)) << where;
-      EXPECT_EQ(Bits(full_cost), Bits(cost)) << where;
-      if (avx2) {
-        EXPECT_EQ(Bits(full), Bits(HistogramRangeCountAvx2(
-                                  p.left, p.right, p.count, p.centroid,
-                                  p.size, true, lo, hi)))
-            << where;
-        HistogramRangeCountCostAvx2(p.left, p.right, p.count, p.cost,
-                                    p.centroid, p.size, true, lo, hi, &c,
-                                    &cost);
-        EXPECT_EQ(Bits(full_c), Bits(c)) << where;
-        EXPECT_EQ(Bits(full_cost), Bits(cost)) << where;
-      }
-      bounds.push_back(lo);
-      bounds.push_back(hi);
-    }
-    // The across-queries kernels: full-width lanes, windowed tail.
-    const size_t n = queries.size();
-    std::vector<double> full(n), windowed(n), full_cost_counts(n),
-        full_cost(n);
-    HistogramRangeCountManyScalar(p.left, p.right, p.count, p.centroid,
-                                  p.size, false, bounds.data(), n,
-                                  full.data());
-    HistogramRangeCountCostManyScalar(p.left, p.right, p.count, p.cost,
-                                      p.centroid, p.size, false,
-                                      bounds.data(), n,
-                                      full_cost_counts.data(),
-                                      full_cost.data());
-    ASSERT_EQ(std::memcmp(full.data(), full_cost_counts.data(),
-                          n * sizeof(double)),
-              0);
-    for (const bool tier_avx2 : {false, true}) {
-      if (tier_avx2 && !avx2) continue;
-      std::vector<double> counts(n), costs(n);
-      if (tier_avx2) {
-        HistogramRangeCountManyAvx2(p.left, p.right, p.count, p.centroid,
-                                    p.size, true, bounds.data(), n,
-                                    windowed.data());
-        HistogramRangeCountCostManyAvx2(p.left, p.right, p.count, p.cost,
-                                        p.centroid, p.size, true,
-                                        bounds.data(), n, counts.data(),
-                                        costs.data());
-      } else {
-        HistogramRangeCountManyScalar(p.left, p.right, p.count, p.centroid,
-                                      p.size, true, bounds.data(), n,
-                                      windowed.data());
-        HistogramRangeCountCostManyScalar(p.left, p.right, p.count, p.cost,
-                                          p.centroid, p.size, true,
-                                          bounds.data(), n, counts.data(),
-                                          costs.data());
-      }
-      EXPECT_EQ(std::memcmp(full.data(), windowed.data(), n * sizeof(double)),
-                0)
-          << "avx2=" << tier_avx2 << " " << h.DebugString();
-      EXPECT_EQ(std::memcmp(full.data(), counts.data(), n * sizeof(double)),
-                0)
-          << "avx2=" << tier_avx2 << " " << h.DebugString();
-      EXPECT_EQ(
-          std::memcmp(full_cost.data(), costs.data(), n * sizeof(double)), 0)
-          << "avx2=" << tier_avx2 << " " << h.DebugString();
-    }
-  }
-}
-
-TEST(SimdKernelTest, BucketWindowBracketsTheTouchedBuckets) {
-  const std::vector<double> left = {0.0, 0.2, 0.4, 0.6, 0.8};
-  const std::vector<double> right = {0.2, 0.4, 0.6, 0.8, 1.0};
-  const size_t b = left.size();
-  const auto window = [&](double lo, double hi, bool ascending) {
-    size_t first, last;
-    BucketWindow(left.data(), right.data(), b, ascending, lo, hi, &first,
-                 &last);
-    return std::make_pair(first, last);
-  };
-  using Window = std::pair<size_t, size_t>;
-  EXPECT_EQ(window(0.3, 0.5, true), Window(1, 3));
-  // Touching an edge keeps the bucket: it may hold a point mass there.
-  EXPECT_EQ(window(0.4, 0.4, true), Window(1, 3));
-  EXPECT_EQ(window(0.0, 1.0, true), Window(0, 5));
-  EXPECT_EQ(window(-1.0, -0.5, true), Window(0, 0));
-  EXPECT_EQ(window(1.5, 2.0, true), Window(5, 5));
-  EXPECT_EQ(window(0.3, 0.5, false), Window(0, 5));
-  EXPECT_EQ(window(1.5, 2.0, false), Window(0, 5));
-}
-
-TEST(SimdKernelTest, NonAscendingTableTakesFullWidthFallback) {
-  // Bucket 1's extent lies left of bucket 0's, as after a merged centroid
-  // rounded past its neighbour. A window searched over these arrays would
-  // miss bucket 1, so the table fails the window's precondition, and the
-  // kernels told so must scan it whole.
-  const std::vector<double> left = {0.5, 0.1, 0.7};
-  const std::vector<double> right = {0.6, 0.2, 0.8};
-  const std::vector<double> count = {1.0, 4.0, 2.0};
-  const std::vector<double> cost = {10.0, 40.0, 20.0};
-  const std::vector<double> centroid = {0.55, 0.15, 0.75};
-  const size_t b = left.size();
-  ASSERT_FALSE(testutil::ProbeMeetsWindowPrecondition(
-      left.data(), right.data(), count.data(), cost.data(), centroid.data(),
-      b));
-  size_t first, last;
-  BucketWindow(left.data(), right.data(), b, false, 0.1, 0.2, &first, &last);
-  EXPECT_EQ(first, 0u);
-  EXPECT_EQ(last, b);
-  const double full = HistogramRangeCountScalar(
-      left.data(), right.data(), count.data(), centroid.data(), b, false,
-      0.1, 0.2);
-  EXPECT_EQ(full, 4.0);
-  EXPECT_NE(HistogramRangeCountScalar(left.data(), right.data(),
-                                      count.data(), centroid.data(), b, true,
-                                      0.1, 0.2),
-            full)
-      << "the table must be one a window would get wrong";
-  EXPECT_EQ(HistogramRangeCount(left.data(), right.data(), count.data(),
-                                centroid.data(), b, false, 0.1, 0.2),
-            full);
-  double c, s;
-  HistogramRangeCountCost(left.data(), right.data(), count.data(),
-                          cost.data(), centroid.data(), b, false, 0.1, 0.2,
-                          &c, &s);
-  EXPECT_EQ(c, 4.0);
-  EXPECT_EQ(s, 40.0);
-
-  // A real histogram takes the fallback when a sum is not finite (Insert
-  // takes its cost from the caller): the far bucket's inf * 0.0 is NaN in
-  // the full scan, and the served kernel must return that NaN too.
-  StreamingHistogram h(8);
-  h.Insert(0.2, 1.0);
-  h.Insert(0.8, std::numeric_limits<double>::infinity());
-  const StreamingHistogram::Probe p = h.probe();
-  EXPECT_FALSE(p.ascending);
-  double full_c, full_cost;
-  HistogramRangeCountCostScalar(p.left, p.right, p.count, p.cost, p.centroid,
-                                p.size, false, 0.1, 0.3, &full_c, &full_cost);
-  ASSERT_TRUE(std::isnan(full_cost));
-  for (const bool force_scalar : {true, false}) {
-    ScopedTier tier(force_scalar);
-    HistogramRangeCountCost(p.left, p.right, p.count, p.cost, p.centroid,
-                            p.size, p.ascending, 0.1, 0.3, &c, &s);
-    EXPECT_EQ(Bits(c), Bits(full_c));
-    EXPECT_EQ(Bits(s), Bits(full_cost));
   }
 }
 

@@ -204,34 +204,6 @@ class JsonValidator {
   size_t pos_ = 0;
 };
 
-/// Whether a probe table meets simd::BucketWindow's precondition, checked
-/// on the table itself: every entry finite, `left` and `right`
-/// non-decreasing, and each zero-width bucket's centroid on its extent.
-/// StreamingHistogram::Probe::ascending claims it from the centroids
-/// alone; tests hold the claim to this check.
-inline bool ProbeMeetsWindowPrecondition(const double* left,
-                                         const double* right,
-                                         const double* count,
-                                         const double* cost,
-                                         const double* centroid,
-                                         size_t buckets) {
-  for (size_t i = 0; i < buckets; ++i) {
-    if (!std::isfinite(left[i]) || !std::isfinite(right[i]) ||
-        !std::isfinite(count[i]) || !std::isfinite(cost[i]) ||
-        !std::isfinite(centroid[i])) {
-      return false;
-    }
-    if (i > 0 && (left[i] < left[i - 1] || right[i] < right[i - 1])) {
-      return false;
-    }
-    if (!(right[i] - left[i] > 0.0) &&
-        !(left[i] <= centroid[i] && centroid[i] <= right[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace testutil
 }  // namespace ppc
 
